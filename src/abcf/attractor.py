@@ -23,7 +23,7 @@ import numpy as np
 
 from .cycles import TruncatedOrbits, truncated_orbits
 from .mobius import Mobius, S, T, T_INV
-from .natext import Box, Cloud, F_step_array, invariant_box_measure, map_interval
+from .natext import Box, Cloud, F_step_array, invariant_box_measure, mobius_box_image
 from .params import Params
 from .scalars import (
     INF,
@@ -81,8 +81,8 @@ class Step:
             "x_lo": enc(self.x_lo),
             "x_hi": enc(self.x_hi),
             "y": format_scalar(self.y),
-            "x_lo_float": -np.inf if self.x_lo is NEG_INF else as_float(self.x_lo),
-            "x_hi_float": np.inf if self.x_hi is POS_INF else as_float(self.x_hi),
+            "x_lo_float": as_float(self.x_lo),
+            "x_hi_float": as_float(self.x_hi),
             "y_float": as_float(self.y),
             "origin": self.origin,
         }
@@ -128,13 +128,9 @@ class RectDomain:
     @functools.cached_property
     def _float_arrays(self):
         low_levels = np.array([as_float(s.y) for s in self.lower])
-        low_lefts = np.array(
-            [-np.inf if s.x_lo is NEG_INF else as_float(s.x_lo) for s in self.lower]
-        )
+        low_lefts = np.array([as_float(s.x_lo) for s in self.lower])
         up_levels = np.array([as_float(s.y) for s in self.upper])
-        up_rights = np.array(
-            [np.inf if s.x_hi is POS_INF else as_float(s.x_hi) for s in self.upper]
-        )
+        up_rights = np.array([as_float(s.x_hi) for s in self.upper])
         return low_levels, low_lefts, up_levels, up_rights
 
     def contains_array(self, xs: np.ndarray, ys: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -154,7 +150,7 @@ class RectDomain:
 
     def contains(self, x: ExtReal, y: ExtReal, tol: float = 1e-9) -> bool:
         if isinstance(x, Infinity) or isinstance(y, Infinity):
-            return any(_box_contains_ext(b, x, y, tol) for b in self.boxes())
+            return any(b.contains(x, y, tol) for b in self.boxes())
         return bool(self.contains_array(np.array([as_float(x)]), np.array([as_float(y)]), tol)[0])
 
     def to_json(self) -> dict:
@@ -170,18 +166,6 @@ class RectDomain:
             "upper": [s.to_json() for s in self.upper],
             "lower": [s.to_json() for s in self.lower],
         }
-
-
-def _box_contains_ext(b: Box, x: ExtReal, y: ExtReal, tol: float) -> bool:
-    def ok(v, lo, hi):
-        if isinstance(v, Infinity):
-            return lo is NEG_INF or hi is POS_INF
-        fv = as_float(v)
-        flo = -np.inf if lo is NEG_INF else as_float(lo)
-        fhi = np.inf if hi is POS_INF else as_float(hi)
-        return flo - tol <= fv <= fhi + tol
-
-    return ok(x, b.x_lo, b.x_hi) and ok(y, b.y_lo, b.y_hi)
 
 
 # -- transported segments -------------------------------------------------
@@ -274,28 +258,25 @@ def _staircase_ok(pairs: list[tuple[LevelEntry, Step]], component: str) -> Optio
 # -- the corner system ----------------------------------------------------
 
 
-def _apply_S_inverse(v: ExtReal) -> ExtReal:
-    return S.apply(v)  # S is an involution in PSL(2,Z)
-
-
 def _solve_pair(
     e_l: LevelEntry, e_u: LevelEntry, params: Params
 ) -> list[tuple[ExtReal, ExtReal]]:
-    """Candidate (x_a, x_b) solutions for a chosen (y_ell, y_u) pair."""
+    """Candidate (x_a, x_b) solutions for a chosen (y_ell, y_u) pair
+    (S is its own inverse in PSL(2,Z))."""
     wl, wu = e_l.word, e_u.word
     sols: list[tuple[ExtReal, ExtReal]] = []
     if not e_l.a_anchored and not e_u.a_anchored:
         # both equations decouple through the fixed (infinity) ends
-        x_b = _apply_S_inverse(wl.apply(INF))
-        x_a = _apply_S_inverse(wu.apply(x_b))
+        x_b = S.apply(wl.apply(INF))
+        x_a = S.apply(wu.apply(x_b))
         sols.append((x_a, x_b))
     elif not e_l.a_anchored and e_u.a_anchored:
-        x_b = _apply_S_inverse(wl.apply(INF))
-        x_a = _apply_S_inverse(wu.apply(INF))
+        x_b = S.apply(wl.apply(INF))
+        x_a = S.apply(wu.apply(INF))
         sols.append((x_a, x_b))
     elif e_l.a_anchored and e_u.a_anchored:
-        x_a = _apply_S_inverse(wu.apply(INF))
-        x_b = _apply_S_inverse(wl.apply(x_a))
+        x_a = S.apply(wu.apply(INF))
+        x_b = S.apply(wl.apply(x_a))
         sols.append((x_a, x_b))
     else:
         # coupled: x_a is a fixed point of S wu S wl
@@ -311,7 +292,7 @@ def _solve_pair(
         for x_a in roots:
             if isinstance(x_a, Infinity):
                 continue
-            x_b = _apply_S_inverse(wl.apply(x_a))
+            x_b = S.apply(wl.apply(x_a))
             sols.append((x_a, x_b))
     return [
         (xa, xb)
@@ -535,8 +516,8 @@ class BijectivityReport:
             "locking_segments": [
                 {
                     "level": as_float(lv),
-                    "x_lo": -np.inf if lo is NEG_INF else as_float(lo),
-                    "x_hi": np.inf if hi is POS_INF else as_float(hi),
+                    "x_lo": as_float(lo),
+                    "x_hi": as_float(hi),
                 }
                 for lv, lo, hi in self.locking_segments
             ],
@@ -550,16 +531,6 @@ def _clip_slab(box: Box, y_lo: Bound, y_hi: Bound) -> Optional[Box]:
     if cmp_bound(lo, hi) >= 0:
         return None
     return Box(box.x_lo, box.x_hi, lo, hi)
-
-
-def _image_boxes(m: Mobius, boxes: list[Box]) -> list[Box]:
-    out: list[Box] = []
-    for b in boxes:
-        for x_lo, x_hi in map_interval(m, b.x_lo, b.x_hi):
-            for y_lo, y_hi in map_interval(m, b.y_lo, b.y_hi):
-                if cmp_bound(x_lo, x_hi) < 0 and cmp_bound(y_lo, y_hi) < 0:
-                    out.append(Box(x_lo, x_hi, y_lo, y_hi))
-    return out
 
 
 def _fragment(boxes_list: list[list[Box]]):
@@ -667,9 +638,7 @@ def verify_bijectivity(dom: RectDomain, params: Optional[Params] = None) -> Bije
         "L2": (carve(lower_boxes, zero, a + 1), S),
         "L3": (carve(lower_boxes, a, zero), S),
     }
-    images: list[Box] = []
-    for name, (boxes, m) in pieces.items():
-        images.extend(_image_boxes(m, boxes))
+    images = [im for boxes, m in pieces.values() for bx in boxes for im in mobius_box_image(m, bx)]
     domain_boxes = upper_boxes + lower_boxes
 
     cells_of, cell_box = _fragment([domain_boxes, images])
@@ -750,8 +719,8 @@ def compare_with_oracle(
         y = as_float(s.y)
         if abs(y) > clip:
             continue
-        lo = -clip if s.x_lo is NEG_INF else max(-clip, as_float(s.x_lo))
-        hi = clip if s.x_hi is POS_INF else min(clip, as_float(s.x_hi))
+        lo = max(-clip, as_float(s.x_lo))
+        hi = min(clip, as_float(s.x_hi))
         if hi <= lo:
             continue
         xs = np.linspace(lo, hi, samples_per_step)

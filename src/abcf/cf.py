@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .mobius import IDENTITY, Mobius, NonHyperbolicError, S, T_pow, minus_cf_matrix
+from .natext import rho
 from .params import Params
 from .scalars import INF, ExtReal, Infinity, Scalar, as_float, floor_exact, is_exact
 
@@ -50,14 +51,7 @@ def digit_ab(x: ExtReal, params: Params) -> int:
 
 def f_step(x: ExtReal, params: Params) -> ExtReal:
     """One step of the piecewise map; fixes the point at infinity."""
-    if isinstance(x, Infinity):
-        return INF
-    a, b = params.a, params.b
-    if params.cmp(x, a) < 0:
-        return x + 1
-    if params.cmp(x, b) < 0:
-        return S.apply(x)
-    return x - 1
+    return rho(x, params).apply(x)
 
 
 def f_hat_step(x: ExtReal, params: Params) -> tuple[ExtReal, Mobius]:

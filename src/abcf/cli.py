@@ -3,7 +3,9 @@
 Commands: expand, cycle, attractor, oracle, verify, exceptional,
 measures, plot.  Every run echoes its configuration in the JSON output
 so an artifact can be reproduced from itself; ABCF_SEED overrides
---seed.  Exit status: 0 success, 1 usage error, 2 verification failure.
+--seed.  Exit status: 0 success, 1 usage error, 2 construction or
+verification failure; errors are reported as one JSON object
+{"error": type name, "message": text} on stdout.
 """
 
 from __future__ import annotations
@@ -14,14 +16,21 @@ import os
 import sys
 
 from . import __version__
-from .attractor import build_attractor, compare_with_oracle, reduction_scan, verify_bijectivity, verify_connectivity
+from .attractor import (
+    ConstructionError,
+    build_attractor,
+    compare_with_oracle,
+    reduction_scan,
+    verify_bijectivity,
+    verify_connectivity,
+)
 from .cf import expand
 from .cycles import detect_cycle, finiteness_check
 from .exceptional import exceptional_b, parse_plan
 from .measures import measures_report, simple_case_applies
 from .natext import sample_attractor
 from .params import ParamError, Params
-from .scalars import parse_scalar
+from .scalars import PrecisionError, as_float, parse_scalar
 from .svg import render_svg
 
 
@@ -143,6 +152,15 @@ def main(argv=None) -> int:
     except ParamError as exc:
         sys.stderr.write(f"invalid parameters: {exc}\n")
         return 1
+    except (ConstructionError, PrecisionError) as exc:
+        return _error(exc, 2)
+    except ValueError as exc:
+        return _error(exc, 1)
+
+
+def _error(exc: Exception, status: int) -> int:
+    sys.stdout.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
+    return status
 
 
 #: flags whose values may start with a dash (e.g. "-4/5"), which argparse
@@ -249,8 +267,6 @@ def _cmd_verify(args) -> int:
         _emit(report, args)
         return 2
     dom = build_attractor(params, args.cap)
-    from .scalars import as_float
-
     report["x_a"] = None if dom.x_a is None else as_float(dom.x_a)
     report["x_b"] = None if dom.x_b is None else as_float(dom.x_b)
     if args.suite in ("connectivity", "all"):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Literal, Optional
 
 from .mobius import Mobius, S, T, T_INV
+from .natext import rho
 from .params import Params
 from .scalars import ExtReal, Infinity, as_float, format_scalar, is_exact
 
@@ -28,57 +29,25 @@ _SEEDS: dict[SeedKind, Mobius] = {
     "b_upper": T_INV,
 }
 
-
-def _step_generator(v: ExtReal, params: Params, lower: bool) -> tuple[Mobius, str]:
-    """Generator applied by f at v with the rerouting convention, plus a
-    hit marker ("a", "b" or "") when v sits exactly on an endpoint."""
-    if isinstance(v, Infinity):
-        return T_INV, ""  # inf >= b convention; fixes inf
-    ca = params.cmp(v, params.a)
-    if ca == 0:
-        return (T if lower else S), "a"
-    if ca < 0:
-        return T, ""
-    cb = params.cmp(v, params.b)
-    if cb == 0:
-        return (S if lower else T_INV), "b"
-    if cb < 0:
-        return S, ""
-    return T_INV, ""
+#: generator names for reported words; -S is S in PSL(2,Z)
+_NAMES = {T: "T", T_INV: "T'", S: "S", S.inverse(): "S"}
 
 
 @dataclass
 class OrbitRecord:
-    """One truncated forward orbit: values, per-step generators, words.
+    """One truncated forward orbit: gens[i] maps values[i] to values[i+1]."""
 
-    Transport words (seed map composed with the step generators) are
-    built lazily: long unresolved orbits would otherwise accumulate
-    quadratically many big matrix entries.
-    """
-
-    seed: SeedKind
     values: list[ExtReal]
     gens: list[Mobius] = field(default_factory=list)
-    hit_events: list[tuple[int, str]] = field(default_factory=list)
     repeated_at: Optional[int] = None  # index whose value re-occurred
-    _words: list[Mobius] = field(default_factory=list)
 
-    @property
-    def lower(self) -> bool:
-        return self.seed.endswith("lower")
 
-    def word_at(self, i: int) -> Mobius:
-        while len(self._words) <= i:
-            w = self.gens[len(self._words) - 1] @ self._words[-1]
-            if len(w.word) > _WORD_TOKEN_LIMIT:
-                w = Mobius(w.a, w.b, w.c, w.d)
-            self._words.append(w)
-        return self._words[i]
-
-    def words_prefix(self, n: int) -> list[Mobius]:
-        if n:
-            self.word_at(n - 1)
-        return self._words[:n]
+def _transport(seed_map: Mobius, gens: list[Mobius], n: int) -> list[Mobius]:
+    """Words carrying the endpoint to the first n >= 1 orbit values."""
+    words = [seed_map]
+    for g in gens[: n - 1]:
+        words.append(g @ words[-1])
+    return words
 
 
 def _value_key(v: ExtReal, params: Params):
@@ -89,26 +58,17 @@ def _value_key(v: ExtReal, params: Params):
     return round(as_float(v), 9)
 
 
-#: generator-token history is kept only this long; beyond it the words
-#: stay exact matrices with empty token tuples (avoids quadratic memory
-#: on long unresolved orbits)
-_WORD_TOKEN_LIMIT = 512
-
-
 def orbit(params: Params, seed: SeedKind, cap: int = 100_000) -> OrbitRecord:
     """Iterate f from the seed, stopping at cap or at a state repeat."""
     if cap < 1:
         raise ValueError("cap >= 1")
     endpoint = params.a if seed.startswith("a") else params.b
-    seed_map = _SEEDS[seed]
-    rec = OrbitRecord(seed, [seed_map.apply(endpoint)], _words=[seed_map])
+    rec = OrbitRecord([_SEEDS[seed].apply(endpoint)])
     seen = {_value_key(rec.values[0], params): 0}
-    lower = rec.lower
+    lower = seed.endswith("lower")
     for _ in range(cap):
         v = rec.values[-1]
-        g, hit = _step_generator(v, params, lower)
-        if hit:
-            rec.hit_events.append((len(rec.values) - 1, hit))
+        g = rho(v, params, from_below=lower)
         nxt = g.apply(v)
         rec.gens.append(g)
         rec.values.append(nxt)
@@ -147,6 +107,14 @@ class CycleResult:
     def has_cycle(self) -> bool:
         return self.classification in ("strong", "weak")
 
+    def word_names(self) -> str:
+        """The cycle word in application order: the upper transport, then
+        the inverse of the lower one; T' is T^-1."""
+        up = [_SEEDS[f"{self.which}_upper"], *self.upper_orbit.gens[: self.upper_steps]]
+        lo = [_SEEDS[f"{self.which}_lower"], *self.lower_orbit.gens[: self.lower_steps]]
+        names = [_NAMES[g] for g in up] + [_NAMES[g.inverse()] for g in reversed(lo)]
+        return " ".join(names)
+
     def to_json(self) -> dict:
         return {
             "which": self.which,
@@ -154,7 +122,7 @@ class CycleResult:
             "end_value": None if self.end is None else format_scalar(self.end),
             "end_float": None if self.end is None else as_float(self.end),
             "side_lengths": [self.upper_steps, self.lower_steps],
-            "word": self.cycle_word.word_str() if self.cycle_word else None,
+            "word": self.word_names() if self.cycle_word else None,
             "approximate": self.approximate,
         }
 
@@ -165,12 +133,14 @@ def cycle_strength(upper_word: Mobius, lower_word: Mobius) -> Classification:
 
 
 def detect_cycle(params: Params, which: Literal["a", "b"], cap: int = 100_000) -> CycleResult:
-    """Advance the two orbits of one endpoint in lockstep until they meet,
-    both close up without meeting, or the cap is reached."""
+    """Run both orbits of one endpoint to a repeat (or the cap), then take
+    the meeting that minimizes the longer side; without a meeting the
+    endpoint is periodic (both orbits closed up) or undetermined."""
     if cap < 1:
         raise ValueError("cap >= 1")
     lo = orbit(params, f"{which}_lower", cap)
     up = orbit(params, f"{which}_upper", cap)
+    up_seed, lo_seed = _SEEDS[f"{which}_upper"], _SEEDS[f"{which}_lower"]
 
     lo_index = {_value_key(v, params): i for i, v in enumerate(lo.values)}
     meet: Optional[tuple[int, int]] = None  # (upper index, lower index)
@@ -183,7 +153,9 @@ def detect_cycle(params: Params, which: Literal["a", "b"], cap: int = 100_000) -
     if meet is not None:
         j, i = meet
         end = up.values[j]
-        upper_word, lower_word = up.word_at(j), lo.word_at(i)
+        upper_words = _transport(up_seed, up.gens, j + 1)
+        lower_words = _transport(lo_seed, lo.gens, i + 1)
+        upper_word, lower_word = upper_words.pop(), lower_words.pop()
         if params.exact:
             cls = cycle_strength(upper_word, lower_word)
         else:
@@ -196,8 +168,8 @@ def detect_cycle(params: Params, which: Literal["a", "b"], cap: int = 100_000) -
             lower_steps=i,
             upper_side=up.values[:j],
             lower_side=lo.values[:i],
-            upper_words=up.words_prefix(j),
-            lower_words=lo.words_prefix(i),
+            upper_words=upper_words,
+            lower_words=lower_words,
             end_word_upper=upper_word,
             end_word_lower=lower_word,
             cycle_word=lower_word.inverse() @ upper_word,
@@ -211,8 +183,8 @@ def detect_cycle(params: Params, which: Literal["a", "b"], cap: int = 100_000) -
             "periodic_no_cycle",
             upper_side=up.values,
             lower_side=lo.values,
-            upper_words=up.words_prefix(len(up.values)),
-            lower_words=lo.words_prefix(len(lo.values)),
+            upper_words=_transport(up_seed, up.gens, len(up.values)),
+            lower_words=_transport(lo_seed, lo.gens, len(lo.values)),
             approximate=not params.exact,
             upper_orbit=up,
             lower_orbit=lo,
@@ -260,25 +232,19 @@ def _truncate_side(
 def truncated_orbits(params: Params, cap: int = 100_000) -> TruncatedOrbits:
     """Cycle sides (plus 0 for weak cycles), or eventually periodic orbits
     truncated at the first repeat; finiteness fails when a cycle is
-    unresolved at the cap."""
+    unresolved at the cap (its sides are then empty)."""
     ca = detect_cycle(params, "a", cap)
     cb = detect_cycle(params, "b", cap)
     finite = ca.classification != "undetermined" and cb.classification != "undetermined"
-
-    def sides(res: CycleResult):
-        if res.classification in ("strong", "weak"):
-            return _truncate_side(res, "lower"), _truncate_side(res, "upper")
-        if res.classification == "periodic_no_cycle":
-            lo, up = res.lower_orbit, res.upper_orbit
-            return (
-                list(zip(lo.values, lo.words_prefix(len(lo.values)))),
-                list(zip(up.values, up.words_prefix(len(up.values)))),
-            )
-        return [], []
-
-    la, ua = sides(ca)
-    lb, ub = sides(cb)
-    return TruncatedOrbits(la=la, ua=ua, lb=lb, ub=ub, finite=finite, cycle_a=ca, cycle_b=cb)
+    return TruncatedOrbits(
+        la=_truncate_side(ca, "lower"),
+        ua=_truncate_side(ca, "upper"),
+        lb=_truncate_side(cb, "lower"),
+        ub=_truncate_side(cb, "upper"),
+        finite=finite,
+        cycle_a=ca,
+        cycle_b=cb,
+    )
 
 
 @dataclass

@@ -20,20 +20,14 @@ import numpy as np
 from scipy.integrate import quad
 
 from .cf import digit_ab, f_hat_step
+from .natext import Box
 from .params import Params
 from .scalars import as_float
 
 
-@dataclass(frozen=True)
-class HatBox:
-    x_lo: float
-    x_hi: float
-    y_lo: float
-    y_hi: float
-
-    @property
-    def area(self) -> float:
-        return max(0.0, self.x_hi - self.x_lo) * max(0.0, self.y_hi - self.y_lo)
+def norm_const(params: Params) -> float:
+    """C = log[(1+b)(1-a)], the normalization of the invariant densities."""
+    return math.log((1 + as_float(params.b)) * (1 - as_float(params.a)))
 
 
 def simple_case_applies(params: Params) -> bool:
@@ -56,18 +50,10 @@ class HatDomain:
     """The four-box domain of the compactified natural extension."""
 
     params: Params
-    boxes: list[HatBox]
-
-    @property
-    def norm_const(self) -> float:
-        a, b = as_float(self.params.a), as_float(self.params.b)
-        return math.log((1 + b) * (1 - a))
+    boxes: list[Box]  # float corners, each of positive area
 
     def contains(self, x: float, y: float, tol: float = 1e-12) -> bool:
-        return any(
-            b.x_lo - tol <= x <= b.x_hi + tol and b.y_lo - tol <= y <= b.y_hi + tol
-            for b in self.boxes
-        )
+        return any(b.contains(x, y, tol) for b in self.boxes)
 
 
 def hat_domain(params: Params) -> HatDomain:
@@ -75,32 +61,29 @@ def hat_domain(params: Params) -> HatDomain:
         raise ValueError("parameters outside the simple four-box case")
     a, b = as_float(params.a), as_float(params.b)
     boxes = [
-        HatBox(a, -1 / b + 1, -1.0, 0.0),
-        HatBox(-1 / b + 1, a + 1, -0.5, 0.0),
-        HatBox(b - 1, -1 / a - 1, 0.0, 0.5),
-        HatBox(-1 / a - 1, b, 0.0, 1.0),
+        Box(a, -1 / b + 1, -1.0, 0.0),
+        Box(-1 / b + 1, a + 1, -0.5, 0.0),
+        Box(b - 1, -1 / a - 1, 0.0, 0.5),
+        Box(-1 / a - 1, b, 0.0, 1.0),
     ]
-    return HatDomain(params, [bx for bx in boxes if bx.area > 0])
+    return HatDomain(params, [bx for bx in boxes if bx.x_hi > bx.x_lo and bx.y_hi > bx.y_lo])
 
 
 def F_hat_step(p: tuple[float, float], params: Params) -> tuple[float, float]:
     """(x, y) -> (fhat(x), -1/(y - digit(-1/x))); the fixed point x = 0 is
     returned unchanged (termination convention, measure zero)."""
     x, y = p
-    if params.cmp_num(x, params.a) < 0 or params.cmp_num(x, params.b) >= 0:
-        raise ValueError(f"x = {x} outside [a, b)")
-    if params.eq(x, 0):
+    nx, word = f_hat_step(x, params)
+    if word.is_identity_psl():
         return (x, y)
-    n = digit_ab(-1 / x, params)
-    nx, _ = f_hat_step(x, params)
-    return (nx, -1 / (y - n))
+    return (nx, -1 / (y + word.a))  # word = T^-n S = (-n -1; 1 0)
 
 
 def nu_density(x: float, y: float, params: Params) -> float:
     dom = hat_domain(params)
     if not dom.contains(x, y):
         return 0.0
-    return 1.0 / (dom.norm_const * (1.0 + x * y) ** 2)
+    return 1.0 / (norm_const(params) * (1.0 + x * y) ** 2)
 
 
 def _mu_terms(params: Params) -> list[tuple[float, float, Callable[[float], float]]]:
@@ -114,17 +97,16 @@ def _mu_terms(params: Params) -> list[tuple[float, float, Callable[[float], floa
 
 
 def mu_density(x: float, params: Params) -> float:
-    c = math.log((1 + as_float(params.b)) * (1 - as_float(params.a)))
     val = 0.0
     for lo, hi, w in _mu_terms(params):
         if lo <= x <= hi:
             val += w(x)
-    return val / c
+    return val / norm_const(params)
 
 
-def _box_nu_integral(box: HatBox) -> float:
+def _box_nu_integral(box: Box) -> float:
     """Closed form of the unnormalized mass of 1/(1+xy)^2 over a box."""
-    x1, x2, y1, y2 = box.x_lo, box.x_hi, box.y_lo, box.y_hi
+    x1, x2, y1, y2 = box.floats()
     return math.log(
         ((1 + x1 * y1) * (1 + x2 * y2)) / ((1 + x2 * y1) * (1 + x1 * y2))
     )
@@ -132,22 +114,20 @@ def _box_nu_integral(box: HatBox) -> float:
 
 def nu_mass(params: Params) -> float:
     dom = hat_domain(params)
-    return sum(_box_nu_integral(b) for b in dom.boxes) / dom.norm_const
+    return sum(_box_nu_integral(b) for b in dom.boxes) / norm_const(params)
 
 
 def mu_mass(params: Params, tol: float = 1e-10) -> float:
-    c = math.log((1 + as_float(params.b)) * (1 - as_float(params.a)))
     total = 0.0
     for lo, hi, w in _mu_terms(params):
         if hi > lo:
             v, _ = quad(w, lo, hi, epsabs=tol, epsrel=tol)
             total += v
-    return total / c
+    return total / norm_const(params)
 
 
 def mu_cdf(x: float, params: Params) -> float:
     """Exact piecewise-log distribution function of the x-marginal."""
-    c = math.log((1 + as_float(params.b)) * (1 - as_float(params.a)))
     anti = [
         lambda t: -math.log(1.0 - t),
         lambda t: -math.log(2.0 - t),
@@ -159,7 +139,7 @@ def mu_cdf(x: float, params: Params) -> float:
         u = min(max(x, lo), hi)
         if u > lo:
             total += F(u) - F(lo)
-    return total / c
+    return total / norm_const(params)
 
 
 def nu_y_cdf(y: float, params: Params) -> float:
@@ -169,8 +149,8 @@ def nu_y_cdf(y: float, params: Params) -> float:
     for b in dom.boxes:
         yy = min(max(y, b.y_lo), b.y_hi)
         if yy > b.y_lo:
-            total += _box_nu_integral(HatBox(b.x_lo, b.x_hi, b.y_lo, yy))
-    return total / dom.norm_const
+            total += _box_nu_integral(Box(b.x_lo, b.x_hi, b.y_lo, yy))
+    return total / norm_const(params)
 
 
 # -- sampling and the invariance statistic --------------------------------
@@ -180,7 +160,7 @@ def sample_nu(params: Params, n: int, seed: int) -> np.ndarray:
     """Rejection-sample the invariant 2D density box by box."""
     dom = hat_domain(params)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    areas = np.array([b.area for b in dom.boxes])
+    areas = np.array([(b.x_hi - b.x_lo) * (b.y_hi - b.y_lo) for b in dom.boxes])
     weights = areas / areas.sum()
     # the density 1/(1+xy)^2 is monotone along box edges, so its maximum
     # over the closed domain sits at a box corner
@@ -299,13 +279,11 @@ def rokhlin_integral(params: Params, tol: float = 1e-12) -> float:
 
 
 def entropy_rokhlin(params: Params, tol: float = 1e-12) -> float:
-    c = math.log((1 + as_float(params.b)) * (1 - as_float(params.a)))
-    return -2.0 * rokhlin_integral(params, tol) / c
+    return -2.0 * rokhlin_integral(params, tol) / norm_const(params)
 
 
 def entropy_closed(params: Params) -> float:
-    a, b = as_float(params.a), as_float(params.b)
-    return math.pi**2 / (3.0 * math.log((1 - a) * (1 + b)))
+    return math.pi**2 / (3.0 * norm_const(params))
 
 
 def birkhoff_average(
@@ -333,7 +311,7 @@ def birkhoff_average(
 
 def measures_report(params: Params, n_points: int = 1_000_000, seed: int = 7) -> dict:
     return {
-        "C": math.log((1 + as_float(params.b)) * (1 - as_float(params.a))),
+        "C": norm_const(params),
         "nu_mass": nu_mass(params),
         "mu_mass": mu_mass(params),
         "h_closed": entropy_closed(params),

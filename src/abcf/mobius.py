@@ -1,14 +1,13 @@
 """SL(2,Z) Mobius transformations acting on the projective real line.
 
-Matrices carry an optional generator word over {T, T^-1, S}; the word is
-stored in application order (first-applied generator first) and always
-multiplies out to the matrix.  Transformations are compared in PSL(2,Z):
-a word acts as the identity on the line iff its matrix is +-Id.
+A transformation is a bare integer matrix of determinant one.
+Transformations are compared in PSL(2,Z): a matrix acts as the identity
+on the line iff it is +-Id.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from .scalars import INF, ExtReal, Infinity, Scalar, Surd
 
@@ -29,7 +28,6 @@ class Mobius:
     b: int
     c: int
     d: int
-    word: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         if self.a * self.d - self.b * self.c != 1:
@@ -38,18 +36,16 @@ class Mobius:
     # -- algebra --------------------------------------------------------
 
     def __matmul__(self, other: "Mobius") -> "Mobius":
-        """Matrix product; (M @ N)(x) == M(N(x)).  N's word applies first."""
+        """Matrix product; (M @ N)(x) == M(N(x))."""
         return Mobius(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
-            other.word + self.word,
         )
 
     def inverse(self) -> "Mobius":
-        inv_word = tuple(_INVERSE_TOKEN[t] for t in reversed(self.word))
-        return Mobius(self.d, -self.b, -self.c, self.a, inv_word)
+        return Mobius(self.d, -self.b, -self.c, self.a)
 
     def trace(self) -> int:
         return self.a + self.d
@@ -123,31 +119,16 @@ class Mobius:
             return INF
         return Fraction(self.a - self.d, 2 * self.c)
 
-    def word_str(self) -> str:
-        return " ".join(self.word) if self.word else "Id"
-
-
-_INVERSE_TOKEN = {"T": "T'", "T'": "T", "S": "S"}
 
 #: Generators: T(x) = x + 1, S(x) = -1/x, T'(x) = x - 1.
 IDENTITY = Mobius(1, 0, 0, 1)
-T = Mobius(1, 1, 0, 1, ("T",))
-S = Mobius(0, -1, 1, 0, ("S",))
-T_INV = Mobius(1, -1, 0, 1, ("T'",))
+T = Mobius(1, 1, 0, 1)
+S = Mobius(0, -1, 1, 0)
+T_INV = Mobius(1, -1, 0, 1)
 
 
 def T_pow(n: int) -> Mobius:
-    if n >= 0:
-        return Mobius(1, n, 0, 1, ("T",) * n)
-    return Mobius(1, n, 0, 1, ("T'",) * (-n))
-
-
-def from_word(tokens: tuple[str, ...]) -> Mobius:
-    """Multiply out a generator word given in application order."""
-    m = IDENTITY
-    for t in tokens:
-        m = {"T": T, "T'": T_INV, "S": S}[t] @ m
-    return m
+    return Mobius(1, n, 0, 1)
 
 
 def minus_cf_matrix(digits: list[int] | tuple[int, ...]) -> Mobius:

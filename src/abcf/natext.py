@@ -30,13 +30,17 @@ from .scalars import (
 )
 
 
-def rho(y: ExtReal, params: Params) -> Mobius:
-    """Generator applied at height y; rho(inf) = T^-1."""
+def rho(y: ExtReal, params: Params, from_below: bool = False) -> Mobius:
+    """Generator applied at y: T below a, S on [a, b), T^-1 from b up and
+    at infinity.  With from_below, an exact hit on a or b takes the branch
+    from just below instead (T at a, S at b)."""
     if isinstance(y, Infinity):
         return T_INV
-    if params.cmp(y, params.a) < 0:
+    ca = params.cmp(y, params.a)
+    if ca < 0 or (ca == 0 and from_below):
         return T
-    if params.cmp(y, params.b) < 0:
+    cb = params.cmp(y, params.b)
+    if cb < 0 or (cb == 0 and from_below):
         return S
     return T_INV
 
@@ -62,30 +66,19 @@ class Box:
     y_lo: Bound
     y_hi: Bound
 
-    def contains(self, x: float, y: float, tol: float = 0.0) -> bool:
-        return (
-            _lo(self.x_lo) - tol <= x <= _hi(self.x_hi) + tol
-            and _lo(self.y_lo) - tol <= y <= _hi(self.y_hi) + tol
-        )
+    def contains(self, x: ExtReal, y: ExtReal, tol: float = 0.0) -> bool:
+        """Closed membership, widened by tol; the unsigned infinity lies in
+        the box iff the box is unbounded on that axis."""
+
+        def on_axis(v: ExtReal, lo: Bound, hi: Bound) -> bool:
+            if isinstance(v, Infinity):
+                return lo is NEG_INF or hi is POS_INF
+            return as_float(lo) - tol <= as_float(v) <= as_float(hi) + tol
+
+        return on_axis(x, self.x_lo, self.x_hi) and on_axis(y, self.y_lo, self.y_hi)
 
     def floats(self) -> tuple[float, float, float, float]:
-        return _lo(self.x_lo), _hi(self.x_hi), _lo(self.y_lo), _hi(self.y_hi)
-
-
-def _lo(v: Bound) -> float:
-    if v is NEG_INF:
-        return float("-inf")
-    if v is POS_INF:  # pragma: no cover - malformed box
-        return float("inf")
-    return as_float(v)
-
-
-def _hi(v: Bound) -> float:
-    if v is POS_INF:
-        return float("inf")
-    if v is NEG_INF:  # pragma: no cover - malformed box
-        return float("-inf")
-    return as_float(v)
+        return as_float(self.x_lo), as_float(self.x_hi), as_float(self.y_lo), as_float(self.y_hi)
 
 
 @dataclass
@@ -100,18 +93,7 @@ class TrapRegion:
         return self.upper + self.lower
 
     def contains(self, x: ExtReal, y: ExtReal, tol: float = 0.0) -> bool:
-        """Closed membership; the unsigned infinity lies in every box with
-        an unbounded side on the matching axis."""
-
-        def on_axis(v: ExtReal, lo: Bound, hi: Bound) -> bool:
-            if isinstance(v, Infinity):
-                return lo is NEG_INF or hi is POS_INF
-            return _lo(lo) - tol <= as_float(v) <= _hi(hi) + tol
-
-        return any(
-            on_axis(x, b.x_lo, b.x_hi) and on_axis(y, b.y_lo, b.y_hi)
-            for b in self.boxes
-        )
+        return any(b.contains(x, y, tol) for b in self.boxes)
 
 
 def trapping_region(params: Params) -> TrapRegion:
@@ -210,13 +192,9 @@ def time_to_trap(
 # -- vectorized float dynamics ------------------------------------------
 
 
-def f_branches(params: Params) -> tuple[float, float]:
-    return as_float(params.a), as_float(params.b)
-
-
 def F_step_array(xs: np.ndarray, ys: np.ndarray, params: Params) -> tuple[np.ndarray, np.ndarray]:
     """One reduction-map step on parallel coordinate arrays (floats)."""
-    a, b = f_branches(params)
+    a, b = as_float(params.a), as_float(params.b)
     below = ys < a
     mid = (~below) & (ys < b)
     up = ~(below | mid)
@@ -351,9 +329,12 @@ def map_interval(m: Mobius, lo: Bound, hi: Bound) -> list[tuple[Bound, Bound]]:
 
 
 def mobius_box_image(m: Mobius, box: Box) -> list[Box]:
-    """Exact image of a box, split at the pole lines beforehand."""
-    out = []
-    for x_lo, x_hi in map_interval(m, box.x_lo, box.x_hi):
-        for y_lo, y_hi in map_interval(m, box.y_lo, box.y_hi):
-            out.append(Box(x_lo, x_hi, y_lo, y_hi))
-    return out
+    """Exact image of a box, split at the pole lines beforehand; pieces of
+    zero width or height are dropped."""
+    return [
+        Box(x_lo, x_hi, y_lo, y_hi)
+        for x_lo, x_hi in map_interval(m, box.x_lo, box.x_hi)
+        if cmp_bound(x_lo, x_hi) < 0
+        for y_lo, y_hi in map_interval(m, box.y_lo, box.y_hi)
+        if cmp_bound(y_lo, y_hi) < 0
+    ]

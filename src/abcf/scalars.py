@@ -55,18 +55,22 @@ INF = Infinity()
 
 
 class _Sentinel:
-    __slots__ = ("_name",)
+    __slots__ = ("_name", "_float")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, value: float) -> None:
         self._name = name
+        self._float = value
 
     def __repr__(self) -> str:
         return self._name
 
+    def __float__(self) -> float:
+        return self._float
+
 
 #: Order sentinels for step/box coordinates: NEG_INF < every real < POS_INF.
-NEG_INF = _Sentinel("-oo")
-POS_INF = _Sentinel("+oo")
+NEG_INF = _Sentinel("-oo", float("-inf"))
+POS_INF = _Sentinel("+oo", float("inf"))
 
 
 # Primes used to peel square factors out of surd discriminants.  Large
@@ -314,7 +318,8 @@ def bounds(x: Scalar, bits: int = 64) -> tuple[Fraction, Fraction]:
     return f, f
 
 
-def as_float(x: ExtReal) -> float:
+def as_float(x: ExtReal | Bound) -> float:
+    """Float view of a scalar or bound; INF and POS_INF give inf, NEG_INF -inf."""
     if x is INF:
         return float("inf")
     return float(x)

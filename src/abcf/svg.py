@@ -10,7 +10,7 @@ from typing import Optional
 
 from .attractor import RectDomain
 from .natext import Cloud
-from .scalars import NEG_INF, POS_INF, as_float
+from .scalars import as_float
 
 SIZE = 800.0
 
@@ -31,10 +31,6 @@ class _Frame:
         return SIZE - (y - self.y0) * self.sy  # y up
 
     def clip_x(self, v) -> float:
-        if v is NEG_INF:
-            return self.x0
-        if v is POS_INF:
-            return self.x1
         return min(max(as_float(v), self.x0), self.x1)
 
     def clip_y(self, v: float) -> float:

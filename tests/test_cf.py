@@ -14,7 +14,7 @@ from abcf.cf import (
     f_hat_step,
     f_step,
 )
-from abcf.mobius import NonHyperbolicError
+from abcf.mobius import NonHyperbolicError, S, T_pow
 from abcf.params import Params
 from abcf.scalars import INF, Surd, as_float
 
@@ -49,7 +49,7 @@ def test_f_hat_examples():
     assert v == 0 and w.is_identity_psl()
     v, w = f_hat_step(Fraction(2, 5), H)
     assert v == Fraction(-1, 2)
-    assert w.word == ("S", "T", "T")  # digit -2: S first, then T twice
+    assert w == T_pow(2) @ S  # digit -2: S first, then T twice
     # -1/x = 2 is an integer: the floor+1 ceiling gives digit 3, landing
     # at -1 (inside [a, b)); -1/2 = (0, 3, 2, 2, ...) in the b = 0 chart
     v, _ = f_hat_step(Fraction(-1, 2), Params.make("-1", "0"))

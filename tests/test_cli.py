@@ -163,3 +163,24 @@ def test_verify_exit_2_on_finiteness_failure(tmp_path, capsys):
     assert code == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["finiteness"]["finite"] is False
+
+
+def _assert_json_error(capsys, args, status, error):
+    code, out = run_cli(args, capsys)
+    assert code == status
+    payload = json.loads(out)  # a single JSON object, no traceback
+    assert set(payload) == {"error", "message"} and payload["error"] == error
+
+
+def test_construction_failure_at_cap_exits_2(capsys):
+    _assert_json_error(capsys, ["attractor", "--a", "-4/5", "--b", "2/5", "--cap", "1"],
+                   2, "ConstructionError")
+
+
+def test_attractor_float_params_exit_2(capsys):
+    _assert_json_error(capsys, ["attractor", "--a", "-0.5", "--b", "0.6"], 2, "ConstructionError")
+
+
+def test_oracle_bad_burn_in_exits_1(capsys):
+    _assert_json_error(capsys, ["oracle", "--a", "-4/5", "--b", "2/5", "--burn-in", "0"],
+                   1, "ValueError")

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 from abcf.cycles import detect_cycle, finiteness_check, orbit, truncated_orbits
+from abcf.mobius import IDENTITY, S, T, T_INV
 from abcf.params import Params, interior_rational_params
 from abcf.scalars import Surd, as_float
 
@@ -30,7 +31,7 @@ def test_orbit_reroute_at_a():
     a = p.a
     idx = rec.values.index(a)
     assert rec.values[idx + 1] == a + 1
-    assert rec.gens[idx].word == ("T",)
+    assert rec.gens[idx] == T
 
 
 def test_a_cycle_strong_below_minus1():
@@ -165,7 +166,7 @@ def test_seed_at_endpoint_reroutes():
     rec = orbit(p, "b_lower", 10)
     assert rec.values[0] == p.a
     assert rec.values[1] == p.a + 1
-    assert rec.gens[0].word == ("T",)
+    assert rec.gens[0] == T
 
 
 def test_cycle_end_values_match_m1_diagrams():
@@ -187,3 +188,14 @@ def test_zagier_cycle_diagram_stations():
     assert res.lower_side[0] == -1 / b
     assert res.lower_side[-1] == -(1 - 2 * b) / b
     assert res.end == b / (1 - 2 * b)
+
+
+def test_cycle_word_multiplies_out_beyond_512_tokens():
+    # the a-cycle of (-199/200, 1/200) has a 799-generator word
+    res = detect_cycle(Params.make("-199/200", "1/200"), "a")
+    tokens = res.to_json()["word"].split()
+    assert len(tokens) == 799
+    m = IDENTITY
+    for t in tokens:  # application order
+        m = {"T": T, "T'": T_INV, "S": S}[t] @ m
+    assert m.psl_eq(res.cycle_word)

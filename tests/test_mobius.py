@@ -3,12 +3,23 @@ from fractions import Fraction
 
 import pytest
 
-from abcf.mobius import NonHyperbolicError, S, T, T_INV, T_pow, from_word, minus_cf_matrix
+from abcf.mobius import IDENTITY, NonHyperbolicError, S, T, T_INV, T_pow, minus_cf_matrix
 from abcf.scalars import INF, Surd, as_float
+
+GENERATORS = {"T": T, "T'": T_INV, "S": S}
+INVERSE_NAME = {"T": "T'", "T'": "T", "S": "S"}
 
 
 def rand_word(rng, n):
     return tuple(rng.choice(["T", "T'", "S"]) for _ in range(n))
+
+
+def from_word(tokens):
+    """Multiply out a generator word given in application order."""
+    m = IDENTITY
+    for t in tokens:
+        m = GENERATORS[t] @ m
+    return m
 
 
 def test_generators():
@@ -29,9 +40,14 @@ def test_word_multiplies_out():
     rng = random.Random(3)
     for _ in range(50):
         w = rand_word(rng, rng.randint(0, 12))
+        k = rng.randint(0, len(w))
         m = from_word(w)
-        assert m.word == w
-        assert from_word(m.word) == m
+        assert m == from_word(w[k:]) @ from_word(w[:k])  # w[:k] applies first
+        x = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+        y = x
+        for t in w:
+            y = GENERATORS[t].apply(y)
+        assert m.apply(x) == y or (m.apply(x) is INF and y is INF)
 
 
 def test_composition_matches_application():
@@ -89,10 +105,12 @@ def test_iteration_converges_to_attracting():
 def test_inverse_round_trips_words():
     rng = random.Random(13)
     for _ in range(50):
-        m = from_word(rand_word(rng, rng.randint(1, 10)))
+        w = rand_word(rng, rng.randint(1, 10))
+        m = from_word(w)
         assert (m @ m.inverse()).is_identity_psl()
         # word inversion is a PSL identity: S^-1 = -S as a matrix
-        assert from_word(m.inverse().word).psl_eq(m.inverse())
+        inv = tuple(INVERSE_NAME[t] for t in reversed(w))
+        assert from_word(inv).psl_eq(m.inverse())
 
 
 def test_minus_cf_matrix_finite_values():
