@@ -14,7 +14,9 @@ certified by an exact box-tiling argument.
 
 from __future__ import annotations
 
+import bisect
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional
@@ -41,6 +43,10 @@ from .scalars import (
 
 class ConstructionError(RuntimeError):
     """The finite-rectangular construction failed; carries diagnostics."""
+
+
+#: sort key for exact bounds, the sentinels included
+_BOUND_KEY = functools.cmp_to_key(cmp_bound)
 
 
 Chain = Literal["La", "Lb", "Ua", "Ub"]
@@ -209,25 +215,17 @@ def _entries(tro: TruncatedOrbits) -> tuple[list[LevelEntry], list[LevelEntry]]:
     return lower, upper
 
 
-def _sorted_steps(
-    entries: list[LevelEntry], x_a: ExtReal, x_b: ExtReal
-) -> list[tuple[LevelEntry, Step]]:
-    pairs = [(e, _segment(e, x_a, x_b)) for e in entries]
+def _sorted_steps(entries: list[LevelEntry], x_a: ExtReal, x_b: ExtReal) -> list[Step]:
+    def cmp(s1: Step, s2: Step) -> int:
+        return cmp_bound(s1.y, s2.y) or cmp_bound(s1.x_lo, s2.x_lo)
 
-    def cmp(p1, p2):
-        c = cmp_bound(p1[1].y, p2[1].y)
-        if c:
-            return c
-        return cmp_bound(p1[1].x_lo, p2[1].x_lo)
-
-    return sorted(pairs, key=functools.cmp_to_key(cmp))
+    return sorted((_segment(e, x_a, x_b) for e in entries), key=functools.cmp_to_key(cmp))
 
 
-def _staircase_ok(pairs: list[tuple[LevelEntry, Step]], component: str) -> Optional[str]:
+def _staircase_ok(steps: list[Step], component: str) -> Optional[str]:
     """None when the sorted segments chain into one staircase, else a reason."""
-    if not pairs:
+    if not steps:
         return f"{component}: empty"
-    steps = [s for _, s in pairs]
     for i in range(len(steps) - 1):
         if cmp_bound(steps[i].x_hi, steps[i + 1].x_lo) != 0:
             return (
@@ -301,14 +299,25 @@ def _solve_pair(
     ]
 
 
+def _nearest(
+    entries: list[LevelEntry], anchor: LevelEntry, params: Params, sign: int
+) -> list[LevelEntry]:
+    """The six levels nearest the anchor level, at or above it for sign 1
+    and at or below it for sign -1, nearest first."""
+    cs = [e for e in entries if e is not anchor and sign * params.cmp(e.value, anchor.value) >= 0]
+    cs.sort(key=functools.cmp_to_key(lambda u, v: sign * params.cmp(u.value, v.value)))
+    return cs[:6]
+
+
 def solve_corners(
     params: Params, tro: TruncatedOrbits
-) -> tuple[ExtReal, ExtReal, LevelEntry, LevelEntry]:
+) -> tuple[ExtReal, ExtReal, list[Step], list[Step]]:
     """Find (x_a, x_b) by scanning the admissible (y_ell, y_u) pairs.
 
     Each candidate pair yields a two-equation Mobius system; a solution
     is accepted only if the corner bounds x_a >= 1, x_b <= -1 hold and
-    the full transported staircase chains up exactly.
+    the full transported staircase chains up exactly.  Returns the
+    corners with the accepted upper and lower steps, ascending in y.
     """
     if not tro.finite:
         raise ConstructionError("finiteness condition fails at the cap")
@@ -317,28 +326,10 @@ def solve_corners(
     sa_entry = next((e for e in upper_entries if e.chain == "Ua" and e.pos == 0), None)
     if sb_entry is None or sa_entry is None:
         raise ConstructionError("missing anchor level (empty cycle side)")
-
-    def cands_l():
-        cs = [
-            e
-            for e in lower_entries
-            if e is not sb_entry and params.cmp(e.value, sb_entry.value) >= 0
-        ]
-        cs.sort(key=functools.cmp_to_key(lambda u, v: params.cmp(u.value, v.value)))
-        return cs[:6]
-
-    def cands_u():
-        cs = [
-            e
-            for e in upper_entries
-            if e is not sa_entry and params.cmp(e.value, sa_entry.value) <= 0
-        ]
-        cs.sort(key=functools.cmp_to_key(lambda u, v: params.cmp(v.value, u.value)))
-        return cs[:6]
-
+    uppers = _nearest(upper_entries, sa_entry, params, -1)
     failures: list[str] = []
-    for e_l in cands_l():
-        for e_u in cands_u():
+    for e_l in _nearest(lower_entries, sb_entry, params, 1):
+        for e_u in uppers:
             for x_a, x_b in _solve_pair(e_l, e_u, params):
                 if not is_exact(x_a) or not is_exact(x_b):
                     continue
@@ -349,14 +340,14 @@ def solve_corners(
                     )
                     continue
                 try:
-                    low_pairs = _sorted_steps(lower_entries, x_a, x_b)
-                    up_pairs = _sorted_steps(upper_entries, x_a, x_b)
+                    lower = _sorted_steps(lower_entries, x_a, x_b)
+                    upper = _sorted_steps(upper_entries, x_a, x_b)
                 except ConstructionError as exc:
                     failures.append(f"({e_l.origin},{e_u.origin}): {exc}")
                     continue
-                reason = _staircase_ok(low_pairs, "lower") or _staircase_ok(up_pairs, "upper")
+                reason = _staircase_ok(lower, "lower") or _staircase_ok(upper, "upper")
                 if reason is None:
-                    return x_a, x_b, e_l, e_u
+                    return x_a, x_b, upper, lower
                 failures.append(f"({e_l.origin},{e_u.origin}): {reason}")
     raise ConstructionError(
         "no corner candidate produced a connected staircase:\n  " + "\n  ".join(failures[:12])
@@ -405,18 +396,8 @@ def build_attractor(params: Params, cap: int = 100_000) -> RectDomain:
     if not params.exact:
         raise ConstructionError("attractor construction requires exact parameters")
     tro = truncated_orbits(params, cap)
-    x_a, x_b, _, _ = solve_corners(params, tro)
-    lower_entries, upper_entries = _entries(tro)
-    low_pairs = _sorted_steps(lower_entries, x_a, x_b)
-    up_pairs = _sorted_steps(upper_entries, x_a, x_b)
-    dom = RectDomain(
-        params,
-        [s for _, s in up_pairs],
-        [s for _, s in low_pairs],
-        x_a,
-        x_b,
-        orbits=tro,
-    )
+    x_a, x_b, upper, lower = solve_corners(params, tro)
+    dom = RectDomain(params, upper, lower, x_a, x_b, orbits=tro)
     report = verify_connectivity(dom)
     if not report["ok"]:
         raise ConstructionError(f"connectivity failed: {report['failures']}")
@@ -525,71 +506,47 @@ class BijectivityReport:
         }
 
 
-def _clip_slab(box: Box, y_lo: Bound, y_hi: Bound) -> Optional[Box]:
-    lo = box.y_lo if cmp_bound(box.y_lo, y_lo) >= 0 else y_lo
-    hi = box.y_hi if cmp_bound(box.y_hi, y_hi) <= 0 else y_hi
-    if cmp_bound(lo, hi) >= 0:
-        return None
-    return Box(box.x_lo, box.x_hi, lo, hi)
+def _slab(boxes: list[Box], y_lo: Bound, y_hi: Bound) -> list[Box]:
+    """The non-empty parts of the boxes between heights y_lo and y_hi."""
+    out = []
+    for bx in boxes:
+        lo = bx.y_lo if cmp_bound(bx.y_lo, y_lo) >= 0 else y_lo
+        hi = bx.y_hi if cmp_bound(bx.y_hi, y_hi) <= 0 else y_hi
+        if cmp_bound(lo, hi) < 0:
+            out.append(Box(bx.x_lo, bx.x_hi, lo, hi))
+    return out
 
 
-def _fragment(boxes_list: list[list[Box]]):
-    """Fragment several box families on their joint exact grid.
+def _cuts(values: list[Bound]) -> list[Bound]:
+    """The distinct values in ascending order, between NEG_INF and POS_INF."""
+    out: list[Bound] = []
+    for v in sorted([NEG_INF, POS_INF, *values], key=_BOUND_KEY):
+        if not out or cmp_bound(out[-1], v) != 0:
+            out.append(v)
+    return out
 
-    Returns (cut function) mapping each family to a multiset of grid cell
-    ids, plus the cell geometry for measure reports.
-    """
-    xs: list[Bound] = []
-    ys: list[Bound] = []
-    for boxes in boxes_list:
-        for b in boxes:
-            for v in (b.x_lo, b.x_hi):
-                if v is not NEG_INF and v is not POS_INF:
-                    xs.append(v)
-            for v in (b.y_lo, b.y_hi):
-                if v is not NEG_INF and v is not POS_INF:
-                    ys.append(v)
 
-    def dedup_sort(vals: list[Bound]) -> list[Bound]:
-        out: list[Bound] = []
-        for v in sorted(vals, key=functools.cmp_to_key(cmp_bound)):
-            if not out or cmp_bound(out[-1], v) != 0:
-                out.append(v)
-        return out
+def _grid(boxes: list[Box]) -> tuple[list[Bound], list[Bound]]:
+    """The exact grid (xs, ys) of all box sides; its cell (i, j) is
+    [xs[i], xs[i+1]] x [ys[j], ys[j+1]]."""
+    xs = _cuts([v for b in boxes for v in (b.x_lo, b.x_hi)])
+    ys = _cuts([v for b in boxes for v in (b.y_lo, b.y_hi)])
+    return xs, ys
 
-    xcuts = dedup_sort(xs)
-    ycuts = dedup_sort(ys)
 
-    def index(cuts: list[Bound], v: Bound, side: str) -> int:
-        # cells: [-oo,c0]=0, [c0,c1]=1, ..., [ck-1,+oo]=k
-        if v is NEG_INF:
-            return 0
-        if v is POS_INF:
-            return len(cuts)
-        for i, c in enumerate(cuts):
-            cc = cmp_bound(v, c)
-            if cc == 0:
-                return i + 1 if side == "lo" else i
-            if cc < 0:
-                raise ConstructionError("box endpoint missing from the cut grid")
+def _at(cuts: list[Bound], v: Bound) -> int:
+    """Position of the value v in the sorted cuts, by binary search."""
+    i = bisect.bisect_left(cuts, _BOUND_KEY(v), key=_BOUND_KEY)
+    if cmp_bound(cuts[i], v) != 0:
         raise ConstructionError("box endpoint missing from the cut grid")
+    return i
 
-    def cells_of(b: Box) -> list[tuple[int, int]]:
-        xi0 = index(xcuts, b.x_lo, "lo")
-        xi1 = index(xcuts, b.x_hi, "hi")
-        yi0 = index(ycuts, b.y_lo, "lo")
-        yi1 = index(ycuts, b.y_hi, "hi")
-        return [(xi, yi) for xi in range(xi0, xi1 + 1) for yi in range(yi0, yi1 + 1)]
 
-    def cell_box(cell: tuple[int, int]) -> Box:
-        xi, yi = cell
-        x_lo = NEG_INF if xi == 0 else xcuts[xi - 1]
-        x_hi = POS_INF if xi == len(xcuts) else xcuts[xi]
-        y_lo = NEG_INF if yi == 0 else ycuts[yi - 1]
-        y_hi = POS_INF if yi == len(ycuts) else ycuts[yi]
-        return Box(x_lo, x_hi, y_lo, y_hi)
-
-    return cells_of, cell_box
+def _cells(box: Box, grid: tuple[list[Bound], list[Bound]]) -> list[tuple[int, int]]:
+    """The grid cells that tile the box."""
+    xs, ys = grid
+    rows = range(_at(ys, box.y_lo), _at(ys, box.y_hi))
+    return [(i, j) for i in range(_at(xs, box.x_lo), _at(xs, box.x_hi)) for j in rows]
 
 
 def locking_segments(dom: RectDomain) -> list[tuple[ExtReal, Bound, Bound]]:
@@ -613,55 +570,40 @@ def locking_segments(dom: RectDomain) -> list[tuple[ExtReal, Bound, Bound]]:
     return out
 
 
-def verify_bijectivity(dom: RectDomain, params: Optional[Params] = None) -> BijectivityReport:
+def verify_bijectivity(dom: RectDomain) -> BijectivityReport:
     """Cut the components at the canonical heights, map the six pieces by
     T^-1, S, S, T, S, S, and certify that the images tile the domain."""
-    params = params or dom.params
-    a, b = params.a, params.b
+    a, b = dom.params.a, dom.params.b
     zero = Fraction(0)
     upper_boxes = dom.upper_boxes()
     lower_boxes = dom.lower_boxes()
-
-    def carve(boxes: list[Box], lo: Bound, hi: Bound) -> list[Box]:
-        out = []
-        for bx in boxes:
-            c = _clip_slab(bx, lo, hi)
-            if c is not None:
-                out.append(c)
-        return out
-
     pieces = {
-        "U1": (carve(upper_boxes, b, POS_INF), T_INV),
-        "U2": (carve(upper_boxes, b - 1, zero), S),
-        "U3": (carve(upper_boxes, zero, b), S),
-        "L1": (carve(lower_boxes, NEG_INF, a), T),
-        "L2": (carve(lower_boxes, zero, a + 1), S),
-        "L3": (carve(lower_boxes, a, zero), S),
+        "U1": (_slab(upper_boxes, b, POS_INF), T_INV),
+        "U2": (_slab(upper_boxes, b - 1, zero), S),
+        "U3": (_slab(upper_boxes, zero, b), S),
+        "L1": (_slab(lower_boxes, NEG_INF, a), T),
+        "L2": (_slab(lower_boxes, zero, a + 1), S),
+        "L3": (_slab(lower_boxes, a, zero), S),
     }
     images = [im for boxes, m in pieces.values() for bx in boxes for im in mobius_box_image(m, bx)]
     domain_boxes = upper_boxes + lower_boxes
 
-    cells_of, cell_box = _fragment([domain_boxes, images])
-    domain_cells: dict[tuple[int, int], int] = {}
-    for bx in domain_boxes:
-        for c in cells_of(bx):
-            domain_cells[c] = domain_cells.get(c, 0) + 1
+    grid = _grid(domain_boxes + images)
+    domain_cells = Counter(c for bx in domain_boxes for c in _cells(bx, grid))
     if any(v > 1 for v in domain_cells.values()):
         raise ConstructionError("domain boxes overlap; staircase is malformed")
-    image_cells: dict[tuple[int, int], int] = {}
-    for bx in images:
-        for c in cells_of(bx):
-            image_cells[c] = image_cells.get(c, 0) + 1
+    image_cells = Counter(c for bx in images for c in _cells(bx, grid))
 
     overlap = [c for c, n in image_cells.items() if n > 1 and c in domain_cells]
     uncovered = [c for c in domain_cells if c not in image_cells]
     escaped = [c for c in image_cells if c not in domain_cells]
 
     def total_measure(cells):
+        xs, ys = grid
         tot = 0.0
-        for c in cells:
+        for i, j in cells:
             try:
-                tot += invariant_box_measure(cell_box(c))
+                tot += invariant_box_measure(Box(xs[i], xs[i + 1], ys[j], ys[j + 1]))
             except ValueError:
                 tot += float("inf")
         return tot

@@ -27,7 +27,7 @@ from .attractor import (
 from .cf import expand
 from .cycles import detect_cycle, finiteness_check
 from .exceptional import exceptional_b, parse_plan
-from .measures import measures_report, simple_case_applies
+from .measures import measures_report
 from .natext import sample_attractor
 from .params import ParamError, Params
 from .scalars import PrecisionError, as_float, parse_scalar
@@ -56,13 +56,17 @@ def _seed(args) -> int:
     return int(env) if env is not None else args.seed
 
 
-def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2, default=str) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+def _write(text: str, path) -> None:
+    """Write text to the file at path, or to stdout when path is empty."""
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, args) -> None:
+    _write(json.dumps(payload, indent=2, default=str) + "\n", args.out)
 
 
 def _config_echo(args) -> dict:
@@ -210,10 +214,7 @@ def _cmd_attractor(args) -> int:
     dom = build_attractor(params, args.cap)
     if args.format == "svg":
         w = args.window
-        text = render_svg(dom, None, (-w, w, -w, w))
-        out = args.out or "attractor.svg"
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write(render_svg(dom, None, (-w, w, -w, w)), args.out or "attractor.svg")
         return 0
     payload = {"config": _config_echo(args), **dom.to_json()}
     if args.format == "text":
@@ -222,12 +223,7 @@ def _cmd_attractor(args) -> int:
             lines.append(side)
             for s in payload[side]:
                 lines.append(f"  y={s['y']}: [{s['x_lo']}, {s['x_hi']}]  ({s['origin']})")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args.out)
         return 0
     _emit(payload, args)
     return 0
@@ -247,12 +243,7 @@ def _cmd_oracle(args) -> int:
         )
         return 0
     lines = [f"{x:.12g} {y:.12g}" for x, y in cloud.points]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -298,11 +289,7 @@ def _cmd_exceptional(args) -> int:
 
 
 def _cmd_measures(args) -> int:
-    params = _params(args)
-    if not simple_case_applies(params):
-        sys.stderr.write("parameters outside the simple four-box case\n")
-        return 1
-    rep = measures_report(params, args.n_points, _seed(args))
+    rep = measures_report(_params(args), args.n_points, _seed(args))
     _emit({"config": _config_echo(args), **rep}, args)
     return 0
 
@@ -314,9 +301,7 @@ def _cmd_plot(args) -> int:
     if args.with_cloud:
         cloud = sample_attractor(params, args.burn_in, args.n_points, _seed(args))
     w = args.window
-    text = render_svg(dom, cloud, (-w, w, -w, w))
-    with open(args.out, "w") as fh:
-        fh.write(text)
+    _write(render_svg(dom, cloud, (-w, w, -w, w)), args.out)
     return 0
 
 

@@ -270,7 +270,7 @@ def sample_attractor(
 def invariant_box_measure(box: Box) -> float:
     """du dw/(w-u)^2 over an off-diagonal box, in closed form.
 
-    For finite corners this is log((x2-y1)(x1-y2)/((x1-y1)(x2-y2))); a
+    For finite corners this is log((x2-y2)(x1-y1)/((x2-y1)(x1-y2))); a
     single unbounded side drops its (cancelling) terms, while a box
     unbounded toward the diagonal at both ends has infinite measure.
     """
@@ -283,7 +283,7 @@ def invariant_box_measure(box: Box) -> float:
         return float("inf")
     val = 0.0
     for xc, sx in ((x2, 1.0), (x1, -1.0)):
-        for yc, sy in ((y1, 1.0), (y2, -1.0)):
+        for yc, sy in ((y2, 1.0), (y1, -1.0)):
             if np.isinf(xc) or np.isinf(yc):
                 continue  # log(x - y) terms at an unbounded side cancel
             val += sx * sy * log(abs(xc - yc))

@@ -75,8 +75,8 @@ POS_INF = _Sentinel("+oo", float("inf"))
 
 # Primes used to peel square factors out of surd discriminants.  Large
 # discriminants (they arise in the exceptional-set module) are left with
-# whatever square factors survive this sieve; arithmetic only ever pairs
-# surds produced from one quadratic, so the representation stays coherent.
+# whatever square factors survive this sieve, so one value can have two
+# representations; Surd equality, hashing and arithmetic do not depend on it.
 def _small_primes(n: int) -> list[int]:
     sieve = bytearray([1]) * (n + 1)
     sieve[0:2] = b"\x00\x00"
@@ -172,16 +172,26 @@ class Surd:
     def __repr__(self) -> str:
         return f"({self.p}{self.q:+}*sqrt({self.d}))/{self.r}"
 
+    def _key(self) -> tuple:
+        # p/r, q^2 d/r^2 and the sign of q fix the value whatever square
+        # factors d keeps
+        return self.rat, Fraction(self.q * self.q * self.d, self.r * self.r), self.q > 0
+
     def __hash__(self) -> int:
-        return hash((self.p, self.q, self.r, self.d))
+        return hash(self._key())
 
     # -- arithmetic ----------------------------------------------------
 
     def _parts(self, other: "Number") -> tuple[Fraction, Fraction]:
+        """other as a + b*sqrt(self.d), rescaled when sqrt(other.d) is a
+        rational multiple of sqrt(self.d)."""
         if isinstance(other, Surd):
-            if other.d != self.d:
+            if other.d == self.d:
+                return other.rat, other.coef
+            m = isqrt(self.d * other.d)
+            if m * m != self.d * other.d:
                 raise MixedFieldError(f"sqrt({self.d}) vs sqrt({other.d})")
-            return other.rat, other.coef
+            return other.rat, other.coef * Fraction(m, self.d)
         if isinstance(other, (int, Fraction)):
             return Fraction(other), Fraction(0)
         return NotImplemented  # type: ignore[return-value]
@@ -263,7 +273,7 @@ class Surd:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Surd):
-            return (self.p, self.q, self.r, self.d) == (other.p, other.q, other.r, other.d)
+            return self._key() == other._key()
         if isinstance(other, (int, Fraction)):
             return False  # canonical surds are irrational
         return NotImplemented
@@ -332,12 +342,7 @@ def is_exact(x: object) -> bool:
 def cmp_exact(x: Number, y: Number) -> int:
     """Exact three-way comparison of rationals/surds, any fields."""
     if isinstance(x, Surd) and isinstance(y, Surd) and x.d != y.d:
-        # equality is decidable algebraically
-        if (
-            x.rat == y.rat
-            and x.coef * x.coef * x.d == y.coef * y.coef * y.d
-            and (x.coef > 0) == (y.coef > 0)
-        ):
+        if x == y:
             return 0
         bits = 64
         while bits <= (1 << 20):

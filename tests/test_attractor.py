@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -139,6 +140,18 @@ def test_bijectivity_locking_segments():
     assert rep.ok and len(rep.locking_segments) == 0  # weak cycles
     rep = verify_bijectivity(build_attractor(Params.make("-1", "0")))
     assert rep.ok
+
+
+def test_bijectivity_reports_a_corrupted_domain():
+    # negative control: moving one lower corner right leaves part of the
+    # domain outside every image and sends part of one image outside it
+    dom = build_attractor(Z)
+    s = dom.lower[2]
+    dom.lower[2] = dataclasses.replace(s, x_lo=s.x_lo + Fraction(1, 100))
+    rep = verify_bijectivity(dom)
+    assert not rep.ok
+    assert (rep.overlap_cells, rep.uncovered_cells, rep.escaped_cells) == (0, 2, 1)
+    assert rep.uncovered_measure > 0
 
 
 def test_boundary_absorption_strong_cycles():

@@ -110,6 +110,10 @@ def test_measures_command(capsys):
 def test_measures_outside_simple_case(capsys):
     code = main(["measures", "--a", "-4/5", "--b", "2/5"])
     assert code == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ValueError",
+        "message": "parameters outside the simple four-box case",
+    }
 
 
 def test_config_echo_reproduces(tmp_path):

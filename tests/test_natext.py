@@ -1,4 +1,5 @@
 import random
+from math import log
 from fractions import Fraction
 
 import numpy as np
@@ -201,6 +202,19 @@ def test_F_preserves_invariant_measure_on_boxes():
         m1 = sum(invariant_box_measure(bx) for bx in images)
         assert abs(m0 - m1) < 1e-6
         done += 1
+
+
+def test_invariant_box_measure_values():
+    from scipy.integrate import dblquad
+
+    one, two = Fraction(1), Fraction(2)
+    assert invariant_box_measure(Box(one, two, -one, Fraction(0))) == pytest.approx(log(4 / 3))
+    assert invariant_box_measure(Box(one, two, NEG_INF, Fraction(0))) == pytest.approx(log(2))
+    # a box above the diagonal, against quadrature of du dw/(w-u)^2
+    box = Box(Fraction(-3), Fraction(-1), Fraction(1, 2), two)
+    ref, _ = dblquad(lambda w, u: 1 / (w - u) ** 2, -3, -1, 0.5, 2)
+    assert ref > 0
+    assert invariant_box_measure(box) == pytest.approx(ref, rel=1e-9)
 
 
 def test_map_interval_S():

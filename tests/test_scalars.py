@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from abcf.cf import evaluate_minus_cf
 from abcf.scalars import (
     INF,
     MixedFieldError,
@@ -52,6 +53,19 @@ def test_mixed_fields_error():
     b = Surd.make(0, 1, 1, 3)
     with pytest.raises(MixedFieldError):
         a + b
+
+
+def test_surd_equality_is_independent_of_representation():
+    # the doubled period has trace 1031, past the square-factor sieve, so
+    # the same value comes out in the field sqrt(23058812973) = 1031*sqrt(21693)
+    x = evaluate_minus_cf([], [2, 20, 27])
+    y = evaluate_minus_cf([], [2, 20, 27] * 2)
+    assert (x.d, y.d) == (21693, 23058812973)
+    assert cmp_exact(x, y) == 0
+    assert x == y and hash(x) == hash(y)
+    assert x - y == 0 and y - x == 0
+    assert x + y == 2 * x
+    assert cmp_exact(x + 1, y) == 1
 
 
 def test_comparisons_exact():
