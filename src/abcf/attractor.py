@@ -25,7 +25,15 @@ import numpy as np
 
 from .cycles import TruncatedOrbits, truncated_orbits
 from .mobius import Mobius, S, T, T_INV
-from .natext import Box, Cloud, F_step_array, invariant_box_measure, mobius_box_image
+from .natext import (
+    DIAGONAL_MARGIN,
+    START_WINDOW,
+    Box,
+    Cloud,
+    F_step_array,
+    invariant_box_measure,
+    mobius_box_image,
+)
 from .params import Params
 from .scalars import (
     INF,
@@ -638,19 +646,20 @@ class OracleComparison:
         }
 
 
-def compare_with_oracle(
-    dom: RectDomain,
-    cloud: Cloud,
-    tol: float = 1e-9,
-    clip: float = 5.0,
-    samples_per_step: int = 33,
-) -> OracleComparison:
+#: float slack of the membership test against oracle and scan points
+ORACLE_TOL = 1e-9
+#: boundary steps are sampled inside [-ORACLE_CLIP, ORACLE_CLIP]^2
+ORACLE_CLIP = 5.0
+SAMPLES_PER_STEP = 33
+
+
+def compare_with_oracle(dom: RectDomain, cloud: Cloud) -> OracleComparison:
     """Fraction of oracle points inside the closed domain, and the worst
     distance from the (clipped) boundary steps to the nearest point."""
     pts = cloud.points
     if len(pts) == 0:
         raise ValueError("empty cloud")
-    inside = dom.contains_array(pts[:, 0], pts[:, 1], tol)
+    inside = dom.contains_array(pts[:, 0], pts[:, 1], ORACLE_TOL)
     frac = float(inside.mean())
 
     from scipy.spatial import cKDTree
@@ -659,13 +668,13 @@ def compare_with_oracle(
     gap = 0.0
     for s in dom.upper + dom.lower:
         y = as_float(s.y)
-        if abs(y) > clip:
+        if abs(y) > ORACLE_CLIP:
             continue
-        lo = max(-clip, as_float(s.x_lo))
-        hi = min(clip, as_float(s.x_hi))
+        lo = max(-ORACLE_CLIP, as_float(s.x_lo))
+        hi = min(ORACLE_CLIP, as_float(s.x_hi))
         if hi <= lo:
             continue
-        xs = np.linspace(lo, hi, samples_per_step)
+        xs = np.linspace(lo, hi, SAMPLES_PER_STEP)
         d, _ = tree.query(np.column_stack([xs, np.full_like(xs, y)]))
         # set distance: how close the cloud comes to this step anywhere
         gap = max(gap, float(d.min()))
@@ -688,28 +697,21 @@ class ScanReport:
         }
 
 
-def reduction_scan(
-    dom: RectDomain,
-    grid: int,
-    cap: int = 10_000,
-    window: float = 20.0,
-    diagonal_margin: float = 1e-3,
-    tol: float = 1e-9,
-) -> ScanReport:
+def reduction_scan(dom: RectDomain, grid: int, cap: int = 10_000) -> ScanReport:
     """Iterate the reduction map from a lattice of off-diagonal points and
     report the fraction reaching the domain within the cap."""
     if grid == 0:
         return ScanReport(float("nan"), 0, 0, 0)
     params = dom.params
-    g = np.linspace(-window, window, grid)
+    g = np.linspace(-START_WINDOW, START_WINDOW, grid)
     xs, ys = np.meshgrid(g, g)
     xs, ys = xs.ravel(), ys.ravel()
-    keep = np.abs(xs - ys) > diagonal_margin
+    keep = np.abs(xs - ys) > DIAGONAL_MARGIN
     xs, ys = xs[keep], ys[keep]
     n = len(xs)
     hit_time = np.full(n, -1, dtype=np.int64)
     active = np.ones(n, dtype=bool)
-    done = dom.contains_array(xs, ys, tol)
+    done = dom.contains_array(xs, ys, ORACLE_TOL)
     hit_time[done] = 0
     active &= ~done
     t = 0
@@ -720,7 +722,7 @@ def reduction_scan(
         # stuck at infinity (rational termination) never resolves
         xs[active], ys[active] = F_step_array(xs[active], ys[active], params)
         done = np.zeros(n, dtype=bool)
-        done[active] = dom.contains_array(xs[active], ys[active], tol)
+        done[active] = dom.contains_array(xs[active], ys[active], ORACLE_TOL)
         hit_time[done] = t
         active &= ~done
     resolved = hit_time >= 0

@@ -22,6 +22,12 @@ from .params import Params
 from .scalars import INF, ExtReal, Infinity, Scalar, as_float, floor_exact, is_exact
 
 
+def state_key(v: ExtReal):
+    """Dict key under which orbit and expansion states repeat: exact
+    values and INF match themselves, floats match to 9 digits."""
+    return round(float(v), 9) if isinstance(v, float) else v
+
+
 class TerminatedExpansion(ValueError):
     """Digit requested at the point at infinity (expansion has ended)."""
 
@@ -103,7 +109,8 @@ def expand(x: ExtReal, params: Params, max_digits: int = 200) -> CFExpansion:
 
     Rational inputs (with b != 0) hit the point at infinity and terminate;
     exact quadratic states repeat and are reported as (preperiod, period).
-    Float inputs match states up to eps and flag the result approximate.
+    Float states match through :func:`state_key`; float inputs or
+    parameters flag the result approximate.
     """
     if max_digits < 1:
         raise ValueError("max_digits >= 1")
@@ -111,17 +118,13 @@ def expand(x: ExtReal, params: Params, max_digits: int = 200) -> CFExpansion:
     if isinstance(x, Infinity):
         return CFExpansion(digits, terminated=True)
     seen: dict = {}
-    approx = not params.exact
-
-    def key(v):
-        return round(as_float(v), 9) if approx else v
-
+    approx = not params.exact or isinstance(x, float)
     cur = x
     for i in range(max_digits):
         if isinstance(cur, Infinity):
             return CFExpansion(digits, terminated=True, approximate=approx)
         if i >= 1:
-            k = key(cur)
+            k = state_key(cur)
             if k in seen:
                 j = seen[k]
                 return CFExpansion(

@@ -30,7 +30,7 @@ from .exceptional import exceptional_b, parse_plan
 from .measures import measures_report
 from .natext import sample_attractor
 from .params import ParamError, Params
-from .scalars import PrecisionError, as_float, parse_scalar
+from .scalars import MixedFieldError, PrecisionError, as_float, parse_scalar
 from .svg import render_svg
 
 
@@ -158,7 +158,7 @@ def main(argv=None) -> int:
         return 1
     except (ConstructionError, PrecisionError) as exc:
         return _error(exc, 2)
-    except ValueError as exc:
+    except (ValueError, MixedFieldError) as exc:
         return _error(exc, 1)
 
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal, Optional
 
+from .cf import state_key
 from .mobius import Mobius, S, T, T_INV
 from .natext import rho
 from .params import Params
-from .scalars import ExtReal, Infinity, as_float, format_scalar, is_exact
+from .scalars import ExtReal, as_float, format_scalar
 
 SeedKind = Literal["a_lower", "a_upper", "b_lower", "b_upper"]
 
@@ -50,21 +51,13 @@ def _transport(seed_map: Mobius, gens: list[Mobius], n: int) -> list[Mobius]:
     return words
 
 
-def _value_key(v: ExtReal, params: Params):
-    if isinstance(v, Infinity):
-        return "inf"
-    if is_exact(v):
-        return v
-    return round(as_float(v), 9)
-
-
 def orbit(params: Params, seed: SeedKind, cap: int = 100_000) -> OrbitRecord:
     """Iterate f from the seed, stopping at cap or at a state repeat."""
     if cap < 1:
         raise ValueError("cap >= 1")
     endpoint = params.a if seed.startswith("a") else params.b
     rec = OrbitRecord([_SEEDS[seed].apply(endpoint)])
-    seen = {_value_key(rec.values[0], params): 0}
+    seen = {state_key(rec.values[0]): 0}
     lower = seed.endswith("lower")
     for _ in range(cap):
         v = rec.values[-1]
@@ -72,7 +65,7 @@ def orbit(params: Params, seed: SeedKind, cap: int = 100_000) -> OrbitRecord:
         nxt = g.apply(v)
         rec.gens.append(g)
         rec.values.append(nxt)
-        k = _value_key(nxt, params)
+        k = state_key(nxt)
         if k in seen:
             rec.repeated_at = seen[k]
             rec.values.pop()  # truncate at first repeat
@@ -142,10 +135,10 @@ def detect_cycle(params: Params, which: Literal["a", "b"], cap: int = 100_000) -
     up = orbit(params, f"{which}_upper", cap)
     up_seed, lo_seed = _SEEDS[f"{which}_upper"], _SEEDS[f"{which}_lower"]
 
-    lo_index = {_value_key(v, params): i for i, v in enumerate(lo.values)}
+    lo_index = {state_key(v): i for i, v in enumerate(lo.values)}
     meet: Optional[tuple[int, int]] = None  # (upper index, lower index)
     for j, v in enumerate(up.values):
-        k = _value_key(v, params)
+        k = state_key(v)
         if k in lo_index:
             i = lo_index[k]
             if meet is None or max(j, i) < max(meet):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -235,9 +235,12 @@ def invariance_check(params: Params, n_points: int, seed: int) -> float:
     return max(ks_x, ks_y)
 
 
-def _cdf_grid(sorted_vals: np.ndarray, k: int = 512) -> np.ndarray:
-    lo, hi = sorted_vals[0], sorted_vals[-1]
-    return np.linspace(lo, hi, k)
+#: points of the grid on which the KS statistic compares distribution functions
+CDF_GRID = 512
+
+
+def _cdf_grid(sorted_vals: np.ndarray) -> np.ndarray:
+    return np.linspace(sorted_vals[0], sorted_vals[-1], CDF_GRID)
 
 
 # -- entropy ----------------------------------------------------------------
@@ -291,12 +294,12 @@ def birkhoff_average(
     observable: Callable[[np.ndarray], np.ndarray],
     n_steps: int,
     seed: int,
-    x0: Optional[float] = None,
 ) -> float:
-    """Time average of an observable along one first-return orbit."""
+    """Time average of an observable along one first-return orbit from a
+    uniform random start in [a, b)."""
     rng = np.random.default_rng(seed)
     a, b = as_float(params.a), as_float(params.b)
-    x = x0 if x0 is not None else rng.uniform(a, b)
+    x = rng.uniform(a, b)
     total = 0.0
     xs = np.empty(n_steps)
     for i in range(n_steps):

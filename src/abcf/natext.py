@@ -221,18 +221,18 @@ class Cloud:
         return len(self.points)
 
 
-def sample_attractor(
-    params: Params,
-    burn_in: int,
-    n_points: int,
-    seed: int,
-    window: float = 20.0,
-    diagonal_margin: float = 1e-3,
-    n_chunks: int = 8,
-) -> Cloud:
+#: Random starts (and reduction-scan lattices) fill [-START_WINDOW,
+#: START_WINDOW]^2 minus the band |x - y| <= DIAGONAL_MARGIN.
+START_WINDOW = 20.0
+DIAGONAL_MARGIN = 1e-3
+#: independent random streams per cloud
+N_CHUNKS = 8
+
+
+def sample_attractor(params: Params, burn_in: int, n_points: int, seed: int) -> Cloud:
     """Iterate random starts burn_in times and keep the final points.
 
-    Starts are uniform in [-window, window]^2 with |x - y| > margin.
+    Starts are uniform in the START_WINDOW square off the diagonal band.
     Chunks draw from independent streams spawned from the master seed, so
     the merged multiset does not depend on chunk evaluation order.
     """
@@ -240,8 +240,8 @@ def sample_attractor(
         raise ValueError("burn_in >= 1")
     if n_points == 0:
         return Cloud(np.empty((0, 2)), 0, seed)
-    streams = np.random.SeedSequence(seed).spawn(n_chunks)
-    sizes = [n_points // n_chunks] * n_chunks
+    streams = np.random.SeedSequence(seed).spawn(N_CHUNKS)
+    sizes = [n_points // N_CHUNKS] * N_CHUNKS
     sizes[-1] += n_points - sum(sizes)
     outs = []
     dropped = 0
@@ -249,13 +249,13 @@ def sample_attractor(
         if size == 0:
             continue
         rng = np.random.default_rng(ss)
-        xs = rng.uniform(-window, window, size)
-        ys = rng.uniform(-window, window, size)
-        bad = np.abs(xs - ys) <= diagonal_margin
+        xs = rng.uniform(-START_WINDOW, START_WINDOW, size)
+        ys = rng.uniform(-START_WINDOW, START_WINDOW, size)
+        bad = np.abs(xs - ys) <= DIAGONAL_MARGIN
         while bad.any():
-            xs[bad] = rng.uniform(-window, window, bad.sum())
-            ys[bad] = rng.uniform(-window, window, bad.sum())
-            bad = np.abs(xs - ys) <= diagonal_margin
+            xs[bad] = rng.uniform(-START_WINDOW, START_WINDOW, bad.sum())
+            ys[bad] = rng.uniform(-START_WINDOW, START_WINDOW, bad.sum())
+            bad = np.abs(xs - ys) <= DIAGONAL_MARGIN
         for _ in range(burn_in):
             xs, ys = F_step_array(xs, ys, params)
         ok = np.isfinite(xs) & np.isfinite(ys)

@@ -15,6 +15,7 @@ from typing import Union
 from .scalars import (
     ExtReal,
     Infinity,
+    MixedFieldError,
     Scalar,
     Surd,
     as_float,
@@ -45,11 +46,15 @@ class Params:
         a, b = self.a, self.b
         if isinstance(a, float) != isinstance(b, float):
             raise ParamError("a and b must share one scalar backing")
+        try:
+            width, product = b - a, a * b
+        except MixedFieldError as exc:
+            raise ParamError(f"a and b lie in different quadratic fields: {exc}") from None
         checks = [
             (self.cmp_num(a, 0) <= 0, "a <= 0"),
             (self.cmp_num(b, 0) >= 0, "0 <= b"),
-            (self.cmp_num(b - a, 1) >= 0, "b - a >= 1"),
-            (self.cmp_num(-(a * b), 1) <= 0, "-a*b <= 1"),
+            (self.cmp_num(width, 1) >= 0, "b - a >= 1"),
+            (self.cmp_num(-product, 1) <= 0, "-a*b <= 1"),
         ]
         for ok, name in checks:
             if not ok:

@@ -15,9 +15,10 @@ distinguishable.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Union
+from math import floor, gcd, isqrt
+from typing import Iterator, Union
 
 
 class MixedFieldError(ArithmeticError):
@@ -77,16 +78,7 @@ POS_INF = _Sentinel("+oo", float("inf"))
 # discriminants (they arise in the exceptional-set module) are left with
 # whatever square factors survive this sieve, so one value can have two
 # representations; Surd equality, hashing and arithmetic do not depend on it.
-def _small_primes(n: int) -> list[int]:
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(range(p * p, n + 1, p))
-    return [i for i in range(n + 1) if sieve[i]]
-
-
-_PRIMES = _small_primes(997)
+_PRIMES = [n for n in range(2, 998) if all(n % k for k in range(2, isqrt(n) + 1))]
 
 
 def _extract_square(d: int) -> tuple[int, int]:
@@ -108,11 +100,30 @@ def _extract_square(d: int) -> tuple[int, int]:
     return s, d
 
 
+def _new(p: int, q: int, r: int, d: int) -> "Scalar":
+    """(p + q*sqrt(d))/r in canonical form; d is already free of small squares."""
+    if q == 0:
+        return Fraction(p, r)
+    if r < 0:
+        p, q, r = -p, -q, -r
+    g = gcd(p, q, r)
+    return Surd(p // g, q // g, r // g, d)
+
+
+def _sign(p: int, q: int, d: int) -> int:
+    """Exact sign of p + q*sqrt(d), from the signs of p, q and p**2 vs q**2*d."""
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sp * sq >= 0:
+        return sp or sq
+    t = p * p - q * q * d
+    return sp if t > 0 else -sp if t < 0 else 0
+
+
 class Surd:
     """A canonical quadratic surd (p + q*sqrt(d))/r with integer p, q, r.
 
     Invariants: r > 0, gcd(p, q, r) == 1, q != 0, d > 1 not a perfect
-    square.  Use :func:`surd` to construct; it collapses rational values
+    square.  Use :meth:`make` to construct; it collapses rational values
     to ``Fraction``.
     """
 
@@ -124,47 +135,18 @@ class Surd:
         self.r = r
         self.d = d
 
-    # -- construction -------------------------------------------------
-
     @staticmethod
     def make(p: int, q: int, r: int, d: int) -> "Scalar":
         if r == 0:
             raise ZeroDivisionError("surd with zero denominator")
         if d < 0:
             raise ValueError("negative discriminant")
-        s, d2 = _extract_square(d) if d > 0 else (0, 1)
-        q *= s
-        if d == 0 or q == 0:
+        if d == 0:
             return Fraction(p, r)
+        s, d2 = _extract_square(d)
         if d2 == 1:
-            return Fraction(p + q, r)
-        if r < 0:
-            p, q, r = -p, -q, -r
-        g = gcd(gcd(abs(p), abs(q)), r)
-        if g > 1:
-            p, q, r = p // g, q // g, r // g
-        return Surd(p, q, r, d2)
-
-    @staticmethod
-    def from_pair(a: Fraction, b: Fraction, d: int) -> "Scalar":
-        """Value a + b*sqrt(d) with rational a, b."""
-        den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-        return Surd.make(
-            a.numerator * (den // a.denominator),
-            b.numerator * (den // b.denominator),
-            den,
-            d,
-        )
-
-    # -- views ---------------------------------------------------------
-
-    @property
-    def rat(self) -> Fraction:
-        return Fraction(self.p, self.r)
-
-    @property
-    def coef(self) -> Fraction:
-        return Fraction(self.q, self.r)
+            return Fraction(p + q * s, r)
+        return _new(p, q * s, r, d2)
 
     def conjugate(self) -> "Surd":
         return Surd(self.p, -self.q, self.r, self.d)
@@ -175,33 +157,36 @@ class Surd:
     def _key(self) -> tuple:
         # p/r, q^2 d/r^2 and the sign of q fix the value whatever square
         # factors d keeps
-        return self.rat, Fraction(self.q * self.q * self.d, self.r * self.r), self.q > 0
+        q, r = self.q, self.r
+        return Fraction(self.p, r), Fraction(q * q * self.d, r * r), q > 0
 
     def __hash__(self) -> int:
         return hash(self._key())
 
-    # -- arithmetic ----------------------------------------------------
+    # -- arithmetic on integer triples (p, q, r) over sqrt(self.d) -------
 
-    def _parts(self, other: "Number") -> tuple[Fraction, Fraction]:
-        """other as a + b*sqrt(self.d), rescaled when sqrt(other.d) is a
-        rational multiple of sqrt(self.d)."""
+    def _parts(self, other: object) -> tuple[int, int, int] | None:
+        """other as (p + q*sqrt(self.d))/r, rescaled when sqrt(other.d) is
+        a rational multiple of sqrt(self.d); None for foreign types."""
         if isinstance(other, Surd):
             if other.d == self.d:
-                return other.rat, other.coef
+                return other.p, other.q, other.r
             m = isqrt(self.d * other.d)
             if m * m != self.d * other.d:
                 raise MixedFieldError(f"sqrt({self.d}) vs sqrt({other.d})")
-            return other.rat, other.coef * Fraction(m, self.d)
-        if isinstance(other, (int, Fraction)):
-            return Fraction(other), Fraction(0)
-        return NotImplemented  # type: ignore[return-value]
+            return other.p * self.d, other.q * m, other.r * self.d
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
+        return None
 
     def __add__(self, other: "Number") -> "Scalar":
-        parts = self._parts(other)
-        if parts is NotImplemented:
+        t = self._parts(other)
+        if t is None:
             return NotImplemented
-        a, b = parts
-        return Surd.from_pair(self.rat + a, self.coef + b, self.d)
+        p, q, r = t
+        return _new(self.p * r + p * self.r, self.q * r + q * self.r, self.r * r, self.d)
 
     __radd__ = __add__
 
@@ -209,67 +194,49 @@ class Surd:
         return Surd(-self.p, -self.q, self.r, self.d)
 
     def __sub__(self, other: "Number") -> "Scalar":
-        parts = self._parts(other)
-        if parts is NotImplemented:
-            return NotImplemented
-        a, b = parts
-        return Surd.from_pair(self.rat - a, self.coef - b, self.d)
+        return self + (-other)
 
     def __rsub__(self, other: "Number") -> "Scalar":
         return (-self) + other
 
     def __mul__(self, other: "Number") -> "Scalar":
-        parts = self._parts(other)
-        if parts is NotImplemented:
+        t = self._parts(other)
+        if t is None:
             return NotImplemented
-        a, b = parts
-        x, y = self.rat, self.coef
-        return Surd.from_pair(x * a + y * b * self.d, x * b + y * a, self.d)
+        p, q, r = t
+        p1, q1 = self.p, self.q
+        return _new(p1 * p + q1 * q * self.d, p1 * q + q1 * p, self.r * r, self.d)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "Number") -> "Scalar":
-        parts = self._parts(other)
-        if parts is NotImplemented:
-            return NotImplemented
-        a, b = parts
-        norm = a * a - b * b * self.d
+    def _quotient(self, num: tuple, den: tuple) -> "Scalar":
+        """(p1 + q1 sqrt d)/r1 over (p2 + q2 sqrt d)/r2, times the conjugate."""
+        (p1, q1, r1), (p2, q2, r2) = num, den
+        norm = p2 * p2 - q2 * q2 * self.d
         if norm == 0:
             raise ZeroDivisionError("division by zero surd")
-        return (self * Surd.from_pair(a / norm, -b / norm, self.d))
+        return _new(r2 * (p1 * p2 - q1 * q2 * self.d), r2 * (q1 * p2 - p1 * q2), r1 * norm, self.d)
+
+    def __truediv__(self, other: "Number") -> "Scalar":
+        t = self._parts(other)
+        if t is None:
+            return NotImplemented
+        return self._quotient((self.p, self.q, self.r), t)
 
     def __rtruediv__(self, other: "Number") -> "Scalar":
-        a = Fraction(other)
-        x, y = self.rat, self.coef
-        norm = x * x - y * y * self.d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero surd")
-        return Surd.from_pair(a * x / norm, -a * y / norm, self.d)
+        t = self._parts(other)
+        if t is None:
+            return NotImplemented
+        return self._quotient(t, (self.p, self.q, self.r))
 
     # -- order ---------------------------------------------------------
 
-    def _sign(self) -> int:
-        """Exact sign of the value; q != 0 so the value is irrational."""
-        a, b = self.rat, self.coef
-        if a == 0:
-            return 1 if b > 0 else -1
-        if b == 0:  # pragma: no cover - excluded by canonical form
-            return 1 if a > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 d
-        lhs, rhs = a * a, b * b * self.d
-        if b > 0:
-            return 1 if rhs > lhs else -1
-        return 1 if lhs > rhs else -1
-
     def _cmp(self, other: "Number") -> int:
-        diff = self - other
-        if isinstance(diff, Fraction):  # pragma: no cover - impossible same-d
-            return (diff > 0) - (diff < 0)
-        return diff._sign()
+        t = self._parts(other)
+        if t is None:
+            raise TypeError(f"cannot order Surd and {type(other).__name__}")
+        p, q, r = t
+        return _sign(self.p * r - p * self.r, self.q * r - q * self.r, self.d)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Surd):
@@ -293,12 +260,12 @@ class Surd:
     # -- numeric views ---------------------------------------------------
 
     def bounds(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        """Certified rational enclosure of the value, width <= 2**(1-bits)."""
-        lo, hi = sqrt_bounds(self.d, bits)
-        b = self.coef
-        term = (b * lo, b * hi) if b > 0 else (b * hi, b * lo)
-        a = self.rat
-        return a + term[0], a + term[1]
+        """Certified rational enclosure of the value, width |q|/r * 2**-bits,
+        from n/2**bits <= sqrt(d) < (n+1)/2**bits with n = isqrt(d * 4**bits)."""
+        n = isqrt(self.d << (2 * bits))
+        p, q, den = self.p << bits, self.q, self.r << bits
+        lo, hi = (n, n + 1) if q > 0 else (n + 1, n)
+        return Fraction(p + q * lo, den), Fraction(p + q * hi, den)
 
     def __float__(self) -> float:
         lo, hi = self.bounds(64)
@@ -312,20 +279,19 @@ Bound = Union[Fraction, Surd, float, _Sentinel]
 Number = Union[int, Fraction, Surd]
 
 
-def sqrt_bounds(d: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(d) <= hi with hi - lo <= 2**-bits."""
-    n = isqrt(d << (2 * bits))
-    return Fraction(n, 1 << bits), Fraction(n + 1, 1 << bits)
-
-
 def bounds(x: Scalar, bits: int = 64) -> tuple[Fraction, Fraction]:
     if isinstance(x, Surd):
         return x.bounds(bits)
-    if isinstance(x, float):
-        f = Fraction(x)
-        return f, f
     f = Fraction(x)
     return f, f
+
+
+def _enclosures(*xs: Scalar, bits: int = 64, top: int = 1 << 20) -> Iterator[list]:
+    """Certified enclosures [bounds(x, bits) for x in xs] at bits, 2*bits, ...
+    up to top bits."""
+    while bits <= top:
+        yield [bounds(x, bits) for x in xs]
+        bits *= 2
 
 
 def as_float(x: ExtReal | Bound) -> float:
@@ -344,15 +310,11 @@ def cmp_exact(x: Number, y: Number) -> int:
     if isinstance(x, Surd) and isinstance(y, Surd) and x.d != y.d:
         if x == y:
             return 0
-        bits = 64
-        while bits <= (1 << 20):
-            xlo, xhi = x.bounds(bits)
-            ylo, yhi = y.bounds(bits)
+        for (xlo, xhi), (ylo, yhi) in _enclosures(x, y):
             if xhi < ylo:
                 return -1
             if yhi < xlo:
                 return 1
-            bits *= 2
         raise PrecisionError(f"cannot separate {x!r} and {y!r}")
     if isinstance(x, Surd):
         return x._cmp(y)
@@ -380,38 +342,33 @@ def floor_exact(x: Scalar) -> int:
     """Integer floor, exact for rationals and surds."""
     if isinstance(x, Fraction):
         return x.numerator // x.denominator
-    if isinstance(x, Surd):
-        bits = 64
-        while True:
-            lo, hi = x.bounds(bits)
-            flo = lo.numerator // lo.denominator
-            fhi = hi.numerator // hi.denominator
-            if flo == fhi:
-                return flo
-            bits *= 2
-            if bits > (1 << 20):  # pragma: no cover
-                raise PrecisionError(f"floor of {x!r} undecided")
-    raise TypeError(f"floor_exact expects an exact scalar, got {type(x)}")
+    if not isinstance(x, Surd):
+        raise TypeError(f"floor_exact expects an exact scalar, got {type(x)}")
+    for ((lo, hi),) in _enclosures(x):
+        if floor(lo) == floor(hi):
+            return floor(lo)
+    raise PrecisionError(f"floor of {x!r} undecided")  # pragma: no cover
 
 
 def simplest_in_interval(a: Fraction, b: Fraction) -> Fraction:
-    """The rational with the smallest denominator in the closed [a, b]."""
+    """The rational with the smallest denominator in the closed [a, b].
+
+    Runs the continued-fraction digits of a = pa/qa and b = pb/qb on
+    integers until an integer lies in the interval, then returns the
+    convergent of those digits.
+    """
     if b < a:
         raise ValueError("empty interval")
-    digits: list[int] = []
+    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
+    h, h1, k, k1 = 1, 0, 0, 1  # convergents h/k and the one before
     while True:
-        ca = -((-a.numerator) // a.denominator)  # ceil
-        fb = b.numerator // b.denominator  # floor
+        ca, fb = -(-pa // qa), pb // qb
+        n = min(max(0, ca), fb) if ca <= fb else pa // qa
+        h, h1, k, k1 = n * h + h1, h, n * k + k1, k
         if ca <= fb:
-            digits.append(min(max(0, ca), fb))
-            break
-        fa = a.numerator // a.denominator
-        digits.append(fa)
-        a, b = 1 / (b - fa), 1 / (a - fa)
-    val = Fraction(digits[-1])
-    for n in reversed(digits[:-1]):
-        val = n + 1 / val
-    return val
+            return Fraction(h, k)
+        # a, b <- 1/(b - n), 1/(a - n); both gaps are positive
+        pa, qa, pb, qb = qb, pb - n * qb, qa, pa - n * qa
 
 
 def midpoint_rational(x: Scalar, y: Scalar) -> Fraction:
@@ -421,17 +378,13 @@ def midpoint_rational(x: Scalar, y: Scalar) -> Fraction:
     simplest rational in the gap (small representations keep later orbit
     arithmetic on the result cheap).
     """
-    bits = 128
-    while bits <= (1 << 22):
-        xlo, xhi = bounds(x, bits)
-        ylo, yhi = bounds(y, bits)
+    for (xlo, xhi), (ylo, yhi) in _enclosures(x, y, bits=128, top=1 << 22):
         if yhi < xlo:
             raise ValueError("midpoint_rational expects x < y")
         if xhi < ylo:
             # shrink to the middle half so exact endpoints stay outside
             gap = ylo - xhi
             return simplest_in_interval(xhi + gap / 4, ylo - gap / 4)
-        bits *= 2
     raise PrecisionError(f"cannot separate {x!r} and {y!r}")
 
 
@@ -452,9 +405,9 @@ def parse_scalar(text: str) -> Scalar:
     ``(p+q*sqrt(d))/r``.
     """
     s = text.strip().replace(" ", "")
+    if re.fullmatch(r".*/[+-]?0+", s):
+        raise ValueError(f"zero denominator: {text!r}")
     if "sqrt" in s:
-        import re
-
         m = re.fullmatch(r"\((-?\d+)([+-]\d+)\*sqrt\((\d+)\)\)/(-?\d+)", s)
         if not m:
             raise ValueError(f"bad surd literal: {text!r}")

@@ -13,6 +13,7 @@ from abcf.cf import (
     expand,
     f_hat_step,
     f_step,
+    state_key,
 )
 from abcf.mobius import NonHyperbolicError, S, T_pow
 from abcf.params import Params
@@ -84,6 +85,17 @@ def test_expand_quadratic_periodic():
     g = Surd.make(1, 1, 2, 5)  # golden ratio, nearest-integer chart
     exp = expand(g, H, max_digits=60)
     assert exp.periodic and not exp.approximate
+
+
+def test_expand_float_input_is_approximate():
+    # float states match to 9 digits whatever the backing of the pair
+    g = Surd.make(1, 1, 2, 5)
+    exact = expand(g, H, max_digits=60)
+    approx = expand(as_float(g), H, max_digits=60)
+    assert approx.approximate and approx.periodic
+    assert approx.digits[:10] == exact.digits[:10]
+    assert state_key(0.1234567891) == state_key(0.12345678912)
+    assert state_key(g) is g and state_key(INF) is INF
 
 
 def test_convergents_basic():

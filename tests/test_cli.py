@@ -188,3 +188,40 @@ def test_attractor_float_params_exit_2(capsys):
 def test_oracle_bad_burn_in_exits_1(capsys):
     _assert_json_error(capsys, ["oracle", "--a", "-4/5", "--b", "2/5", "--burn-in", "0"],
                    1, "ValueError")
+
+
+def test_expand_zero_denominator_exits_1(capsys):
+    _assert_json_error(capsys, ["expand", "--a", "-1/2", "--b", "1/2", "--x", "1/0"],
+                       1, "ValueError")
+
+
+def test_cycle_zero_denominator_param_exits_1(capsys):
+    _assert_json_error(capsys, ["cycle", "--a", "1/0", "--b", "1/2", "--which", "a"],
+                       1, "ValueError")
+
+
+def test_expand_zero_denominator_surd_exits_1(capsys):
+    _assert_json_error(capsys, ["expand", "--a", "-1/2", "--b", "1/2",
+                                "--x", "(1+1*sqrt(5))/0"], 1, "ValueError")
+
+
+def test_mixed_field_params_usage_error(capsys):
+    code = main(["cycle", "--a", "-golden", "--b", "(1+1*sqrt(3))/2", "--which", "a"])
+    assert code == 1
+    assert "different quadratic fields" in capsys.readouterr().err
+    # sqrt(5*1009**2) is a rational multiple of sqrt(5): one field, so it works
+    twin = "(-1009+1*sqrt(5090405))/2018"  # golden over a radicand the sieve keeps
+    floats = []
+    for b in ("golden", twin):
+        code, out = run_cli(["attractor", "--a", "-golden", "--b", b], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        steps = payload["upper"] + payload["lower"]
+        floats.append([payload["x_a_float"], payload["x_b_float"]]
+                      + [s[k] for s in steps for k in s if k.endswith("_float")])
+    assert floats[0] == floats[1]
+
+
+def test_expand_mixed_field_x_exits_1(capsys):
+    _assert_json_error(capsys, ["expand", "--a", "-1/2", "--b", "golden",
+                                "--x", "(1+1*sqrt(3))/2"], 1, "MixedFieldError")

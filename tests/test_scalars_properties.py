@@ -1,0 +1,151 @@
+"""Property tests for the exact scalar layer against mpmath at 500 digits.
+
+The surds are drawn in the fields sqrt(d) for small square-free d.  A
+second representation of the same field is (p + q*sqrt(d*1009**2))/r:
+1009 is past the square-factor sieve, so Surd.make keeps the radicand
+d*1009**2 and the value equals (p + 1009*q*sqrt(d))/r.
+"""
+
+from fractions import Fraction
+
+import mpmath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from abcf.scalars import (
+    Surd,
+    cmp_exact,
+    floor_exact,
+    midpoint_rational,
+    simplest_in_interval,
+)
+
+mpmath.mp.dps = 500
+TOL = mpmath.mpf(10) ** -450
+BIG = 1009
+
+small = st.integers(-60, 60)
+nonzero = small.filter(bool)
+positive = st.integers(1, 60)
+radicands = st.sampled_from([2, 3, 5, 6, 7, 10, 13, 21])
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=40)
+
+
+@st.composite
+def surd_pairs(draw):
+    """Two surds of one field, the second possibly in the d*1009**2 form."""
+    d = draw(radicands)
+    x = Surd.make(draw(small), draw(nonzero), draw(positive), d)
+    p, q, r = draw(small), draw(nonzero), draw(positive)
+    if draw(st.booleans()):
+        y = Surd.make(p, q, r, d * BIG * BIG)
+        assert y.d == d * BIG * BIG
+    else:
+        y = Surd.make(p, q, r, d)
+    return x, y
+
+
+def mp(v) -> mpmath.mpf:
+    if isinstance(v, Surd):
+        return (v.p + v.q * mpmath.sqrt(v.d)) / v.r
+    v = Fraction(v)
+    return mpmath.mpf(v.numerator) / v.denominator
+
+
+def close(u, v) -> bool:
+    return abs(mp(u) - v) <= TOL * (1 + abs(v))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(surd_pairs())
+def test_surd_field_operations(pair):
+    x, y = pair
+    X, Y = mp(x), mp(y)
+    assert close(x + y, X + Y) and close(y + x, X + Y)
+    assert close(x - y, X - Y) and close(y - x, Y - X)
+    assert close(x * y, X * Y) and close(y * x, X * Y)
+    assert close(x / y, X / Y) and close(y / x, Y / X)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(surd_pairs(), fractions)
+def test_surd_rational_operations(pair, f):
+    x = pair[0]
+    X, F = mp(x), mp(f)
+    assert close(x + f, X + F) and close(f + x, X + F)
+    assert close(x - f, X - F) and close(f - x, F - X)
+    assert close(x * f, X * F) and close(f * x, X * F)
+    assert close(f / x, F / X)
+    if f:
+        assert close(x / f, X / F)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(surd_pairs(), fractions)
+def test_cmp_exact_matches_mpmath(pair, f):
+    x, y = pair
+    X, Y, F = mp(x), mp(y), mp(f)
+    sign = lambda t: (t > 0) - (t < 0)  # noqa: E731
+    assert cmp_exact(x, y) == sign(X - Y) == -cmp_exact(y, x)
+    assert cmp_exact(x, f) == sign(X - F) == -cmp_exact(f, x)
+    assert cmp_exact(x, x) == 0
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(surd_pairs())
+def test_cmp_exact_across_representations(pair):
+    x = pair[0]
+    # the same value written over sqrt(d*1009**2)
+    twin = Surd.make(BIG * x.p, x.q, BIG * x.r, x.d * BIG * BIG)
+    assert twin.d != x.d
+    assert cmp_exact(x, twin) == 0 and x == twin and hash(x) == hash(twin)
+    eps = Fraction(1, 10**30)
+    assert cmp_exact(twin + eps, x) == 1 and cmp_exact(x, twin + eps) == -1
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(surd_pairs(), fractions)
+def test_floor_exact(pair, f):
+    for v in (*pair, f):
+        assert floor_exact(v) == int(mpmath.floor(mp(v)))
+
+
+def brute_simplest(a: Fraction, b: Fraction) -> Fraction:
+    """Smallest denominator in [a, b]; among those, the one nearest 0."""
+    q = 1
+    while True:
+        lo, hi = -((-a.numerator * q) // a.denominator), (b.numerator * q) // b.denominator
+        if lo <= hi:
+            return Fraction(min(max(0, lo), hi), q)
+        q += 1
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(fractions, st.fractions(min_value=0, max_value=3, max_denominator=40))
+def test_simplest_in_interval_brute_force(a, w):
+    b = a + w
+    s = simplest_in_interval(a, b)
+    assert a <= s <= b
+    assert s.denominator == brute_simplest(a, b).denominator
+    assert s == brute_simplest(a, b)
+
+
+def test_simplest_in_interval_empty():
+    with pytest.raises(ValueError):
+        simplest_in_interval(Fraction(1), Fraction(0))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(surd_pairs(), fractions)
+def test_midpoint_rational_lies_strictly_between(pair, f):
+    x, y = pair
+    for u, v in ((x, y), (x, f), (f, y)):
+        if cmp_exact(u, v) == 0:
+            continue
+        if cmp_exact(u, v) > 0:
+            u, v = v, u
+        m = midpoint_rational(u, v)
+        assert isinstance(m, Fraction)
+        assert cmp_exact(u, m) == -1 and cmp_exact(m, v) == -1
+        assert mp(u) < mp(m) < mp(v)
