@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .mobius import IDENTITY, Mobius, NonHyperbolicError, S, T_pow, minus_cf_matrix
 from .natext import rho
 from .params import Params
-from .scalars import INF, ExtReal, Infinity, Scalar, as_float, floor_exact, is_exact
+from .scalars import INF, ExtReal, Infinity, as_float, cmp_exact, floor_exact, is_exact
 
 
 def state_key(v: ExtReal):
@@ -32,14 +32,17 @@ class TerminatedExpansion(ValueError):
     """Digit requested at the point at infinity (expansion has ended)."""
 
 
-def _floor(x: Scalar, params: Params) -> int:
-    if is_exact(x):
-        return floor_exact(x)
-    f = as_float(x)
-    r = round(f)
-    if abs(f - r) <= params.eps:
-        return int(r)
-    return math.floor(f)
+def digit_float(x: float, a: float, b: float, eps: float) -> int:
+    """digit_ab on floats.  x is below a (or b) unless it is within eps of
+    it or above it, as Params.cmp decides; x - a (or x - b) snaps onto an
+    integer within eps before the floor."""
+    d, n = x - a, 0
+    if abs(d) <= eps or d > 0:
+        d, n = x - b, 1
+        if not (abs(d) <= eps or d > 0):
+            return 0
+    r = round(d)
+    return n + (r if abs(d - r) <= eps else math.floor(d))
 
 
 def digit_ab(x: ExtReal, params: Params) -> int:
@@ -48,11 +51,13 @@ def digit_ab(x: ExtReal, params: Params) -> int:
     if isinstance(x, Infinity):
         raise TerminatedExpansion("digit of the point at infinity")
     a, b = params.a, params.b
-    if params.cmp(x, a) < 0:
-        return _floor(x - a, params)
-    if params.cmp(x, b) < 0:
+    if not (params.exact and is_exact(x)):
+        return digit_float(as_float(x), as_float(a), as_float(b), params.eps)
+    if cmp_exact(x, a) < 0:
+        return floor_exact(x - a)
+    if cmp_exact(x, b) < 0:
         return 0
-    return _floor(x - b, params) + 1
+    return floor_exact(x - b) + 1
 
 
 def f_step(x: ExtReal, params: Params) -> ExtReal:

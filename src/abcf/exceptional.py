@@ -58,9 +58,6 @@ class TriangleRegion:
         hi = bounds(self.b_hi, 96)
         return float(hi[1] - lo[0])
 
-    def contains_b(self, b: Scalar) -> bool:
-        return cmp_exact(self.b_lo, b) <= 0 and cmp_exact(b, self.b_hi) <= 0
-
     def to_json(self) -> dict:
         return {
             "m": self.m,

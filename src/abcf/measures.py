@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .cf import digit_ab, f_hat_step
+from .cf import digit_float, f_hat_step
 from .natext import Box
 from .params import Params
 from .scalars import as_float
@@ -298,15 +298,13 @@ def birkhoff_average(
     """Time average of an observable along one first-return orbit from a
     uniform random start in [a, b)."""
     rng = np.random.default_rng(seed)
-    a, b = as_float(params.a), as_float(params.b)
+    a, b, eps = as_float(params.a), as_float(params.b), params.eps
     x = rng.uniform(a, b)
-    total = 0.0
     xs = np.empty(n_steps)
     for i in range(n_steps):
         xs[i] = x
         y = -1.0 / x
-        n = digit_ab(y, params)
-        x = y - n
+        x = y - digit_float(y, a, b, eps)
         if x == 0 or not math.isfinite(x):
             x = rng.uniform(a, b)  # rational escape; restart (measure zero)
     return float(np.mean(observable(xs)))

@@ -7,6 +7,7 @@ from abcf.cf import (
     bounded_digit_interval,
     convergents,
     digit_ab,
+    digit_float,
     evaluate_expansion,
     evaluate_finite_minus_cf,
     evaluate_minus_cf,
@@ -36,6 +37,26 @@ def test_digit_paper_ceiling_at_integers():
     # the ceiling convention is floor + 1 even at integers: x = b gets digit 1
     assert digit_ab(H.b, H) == 1
     assert digit_ab(Fraction(0), M) == 1  # 0 >= b = 0
+
+
+def test_digit_of_a_float_snaps_within_eps():
+    # x within eps of a cut lies on it; x - a and x - b within eps of an
+    # integer floor to it; the rule is the same under a float pair and an
+    # exact one
+    cases = [
+        (-0.5 - 1e-13, 0),
+        (0.5 - 1e-13, 1),
+        (2.5 - 1e-13, 3),
+        (-2.5 - 1e-13, -2),
+        (-0.5 - 1e-9, -1),
+        (0.5 - 1e-9, 0),
+        (1.5 + 1e-13, 2),
+        (-1.5 + 1e-9, -1),
+    ]
+    for x, n in cases:
+        assert digit_ab(x, Params.make(-0.5, 0.5)) == n, x
+        assert digit_ab(x, H) == n, x
+        assert digit_float(x, -0.5, 0.5, 1e-12) == n, x
 
 
 def test_f_step_examples():

@@ -225,3 +225,11 @@ def test_mixed_field_params_usage_error(capsys):
 def test_expand_mixed_field_x_exits_1(capsys):
     _assert_json_error(capsys, ["expand", "--a", "-1/2", "--b", "golden",
                                 "--x", "(1+1*sqrt(3))/2"], 1, "MixedFieldError")
+
+
+def test_expand_float_x_under_surd_pair(capsys):
+    code, out = run_cli(["expand", "--a", "-1/2", "--b", "golden", "--x", "0.618"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["approximate"] is True
+    assert payload["digits"][:3] == [0, -2, -3]

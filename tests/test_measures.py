@@ -197,6 +197,23 @@ def test_birkhoff_sanity():
     assert abs(a2 - i2) < 1e-2
 
 
+def test_birkhoff_average_orbit_is_pinned():
+    # the plain-float loop follows the digit_ab orbit bit for bit
+    pinned = [
+        (("-7/10", "4/5"), 0.9222183216587382),
+        (("-1/2", "1/2"), 0.9595291503483939),
+        (("-1", "0"), 0.6225920131929893),
+        ((-0.7, 0.8), 0.9222183216587382),
+    ]
+    for ab, want in pinned:
+        assert birkhoff_average(Params.make(*ab), np.cos, 50_000, seed=3) == want
+
+
+def test_birkhoff_average_surd_pair():
+    avg = birkhoff_average(Params.make("-1/2", "golden"), np.cos, 20_000, seed=3)
+    assert math.isfinite(avg) and 0.0 < avg <= 1.0
+
+
 def test_outside_simple_case_rejected():
     with pytest.raises(ValueError):
         hat_domain(Params.make("-4/5", "2/5"))

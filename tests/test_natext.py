@@ -1,3 +1,4 @@
+import math
 import random
 from math import log
 from fractions import Fraction
@@ -9,6 +10,7 @@ from abcf.mobius import S, T, T_INV
 from abcf.natext import (
     Box,
     F_step,
+    F_step_array,
     invariant_box_measure,
     map_interval,
     mobius_box_image,
@@ -151,6 +153,49 @@ def test_sample_attractor_deterministic_and_trapped():
     theta = trapping_region(Z)
     for x, y in cloud1.points[:500]:
         assert theta.contains(x, y, tol=1e-9)
+
+
+def _kernel(x: float, y: float, p: Params) -> tuple[float, float]:
+    nx, ny = F_step_array(np.array([x]), np.array([y]), p)
+    return float(nx[0]), float(ny[0])
+
+
+def _same_bits(u: tuple[float, ...], v: tuple[float, ...]) -> bool:
+    return np.array(u).tobytes() == np.array(v).tobytes()
+
+
+def test_F_step_array_matches_the_scalar_rule_at_the_cuts():
+    # with eps = 0 the scalar rho compares floats without snapping, which
+    # is the kernel's rule: y == a takes S, y == b and up takes T^-1
+    a, b = as_float(Z.a), as_float(Z.b)
+    unsnapped = Params.make("-4/5", "2/5", eps=0.0)
+    ys = [a, b, -3.5, 0.25, 7.0]
+    ys += [math.nextafter(c, t) for c in (a, b) for t in (-math.inf, math.inf)]
+    for y in ys:
+        for x in (-2.5, 0.3, 11.0):
+            assert _same_bits(_kernel(x, y, Z), F_step((x, y), unsnapped)), (x, y)
+    assert rho(a, unsnapped) is S and rho(b, unsnapped) is T_INV
+    assert rho(math.nextafter(a, -math.inf), unsnapped) is T
+    assert rho(math.nextafter(b, -math.inf), unsnapped) is S
+
+
+def test_F_step_array_at_zero_infinity_and_nan():
+    inf, nan = math.inf, math.nan
+    cases = [
+        ((1.0, inf), (0.0, inf)),  # T^-1
+        ((1.0, -inf), (2.0, -inf)),  # T
+        ((inf, 5.0), (inf, 4.0)),
+        ((-inf, -5.0), (-inf, -4.0)),
+        ((0.0, 0.25), (-inf, -4.0)),  # S sends a signed zero to an infinity
+        ((-0.0, 0.25), (inf, -4.0)),
+        ((inf, 0.25), (-0.0, -4.0)),
+        ((-inf, 0.25), (0.0, -4.0)),
+        ((3.0, 0.0), (-1.0 / 3.0, -inf)),
+        ((3.0, nan), (2.0, nan)),  # a NaN y takes T^-1
+    ]
+    for p, want in cases:
+        got = _kernel(*p, Z)
+        assert _same_bits(got, want), (p, got, want)
 
 
 def test_sample_attractor_empty():
