@@ -23,8 +23,11 @@ from .scalars import INF, ExtReal, Infinity, as_float, cmp_exact, floor_exact, i
 
 
 def state_key(v: ExtReal):
-    """Dict key under which orbit and expansion states repeat: exact
-    values and INF match themselves, floats match to 9 digits."""
+    """Dict key under which orbit and expansion states repeat: rationals as
+    (numerator, denominator), cheaper to hash than a Fraction; surds and INF
+    as themselves; floats to 9 digits."""
+    if isinstance(v, (int, Fraction)):
+        return v.numerator, v.denominator
     return round(float(v), 9) if isinstance(v, float) else v
 
 

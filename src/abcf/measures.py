@@ -192,16 +192,16 @@ def sample_nu(params: Params, n: int, seed: int) -> np.ndarray:
 
 
 def _digit_array(xs: np.ndarray, params: Params) -> np.ndarray:
-    """Vectorized generalized integer part of -1/x."""
-    a, b = as_float(params.a), as_float(params.b)
-    with np.errstate(divide="ignore"):
+    """cf.digit_float of -1/x, elementwise: the same eps-snapped cuts
+    (d >= -eps is abs(d) <= eps or d > 0) and the same snapped floor."""
+    a, b, eps = as_float(params.a), as_float(params.b), params.eps
+    with np.errstate(divide="ignore", invalid="ignore"):
         ys = -1.0 / xs
-    n = np.zeros(len(xs), dtype=np.int64)
-    below = ys < a
-    n[below] = np.floor(ys[below] - a)
-    above = ys >= b
-    n[above] = np.floor(ys[above] - b) + 1
-    return n
+        below, above = ys - a < -eps, ys - b >= -eps
+        d = np.where(below, ys - a, ys - b)
+        r = np.round(d)
+        n = np.where(np.abs(d - r) <= eps, r, np.floor(d)) + above
+        return np.where(below | above, n, 0).astype(np.int64)
 
 
 def F_hat_array(xs: np.ndarray, ys: np.ndarray, params: Params) -> tuple[np.ndarray, np.ndarray]:

@@ -20,6 +20,13 @@ class NonHyperbolicError(ValueError):
         self.classification = classification
 
 
+def _coprime(num: int, den: int) -> Fraction:
+    """num/den for coprime integers, den != 0, without Fraction's gcd."""
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = (num, den) if den > 0 else (-num, -den)
+    return f
+
+
 @dataclass(frozen=True)
 class Mobius:
     """Integer matrix (a b; c d), det = 1, acting by x -> (a x + b)/(c x + d)."""
@@ -69,24 +76,20 @@ class Mobius:
 
     # -- action ---------------------------------------------------------
 
-    def __call__(self, x: ExtReal) -> ExtReal:
-        return self.apply(x)
-
     def apply(self, x: ExtReal) -> ExtReal:
-        a, b, c, d = self.a, self.b, self.c, self.d
+        """(a p + b q)/(c p + d q) for x = p/q, INF = 1/0, other scalars x/1.
+        For p, q coprime it needs no gcd: a common divisor of a p + b q and
+        c p + d q divides (ad - bc) p = p and (ad - bc) q = q."""
         if isinstance(x, Infinity):
-            if c == 0:
-                return INF
-            return Fraction(a, c)
-        num = a * x + b
-        den = c * x + d
-        if isinstance(den, float):
-            if den == 0.0:
-                return INF
-            return num / den
+            p, q = 1, 0
+        elif isinstance(x, Fraction):
+            p, q = x.numerator, x.denominator
+        else:
+            p, q = x, 1
+        num, den = self.a * p + self.b * q, self.c * p + self.d * q
         if den == 0:
             return INF
-        return num / den
+        return _coprime(num, den) if isinstance(num, int) else num / den
 
     def fixed_points(self) -> tuple[ExtReal, ExtReal]:
         """(attracting, repelling) fixed points of a hyperbolic matrix.
@@ -135,9 +138,10 @@ def minus_cf_matrix(digits: list[int] | tuple[int, ...]) -> Mobius:
     """Matrix of the formal minus continued fraction (n_0, ..., n_k).
 
     (n_0, ..., n_k, x) = T^{n_0} S T^{n_1} S ... T^{n_k} S (x); the value
-    of the finite expression itself is the matrix applied to INF.
+    of the finite expression itself is the matrix applied to INF.  Each
+    digit multiplies by T^n S = (n -1; 1 0): the convergent recursion.
     """
-    m = IDENTITY
+    a, b, c, d = 1, 0, 0, 1
     for n in digits:
-        m = m @ (T_pow(n) @ S)
-    return m
+        a, b, c, d = n * a + b, -a, n * c + d, -c
+    return Mobius(a, b, c, d)

@@ -148,9 +148,6 @@ class Surd:
             return Fraction(p + q * s, r)
         return _new(p, q * s, r, d2)
 
-    def conjugate(self) -> "Surd":
-        return Surd(self.p, -self.q, self.r, self.d)
-
     def __repr__(self) -> str:
         return f"({self.p}{self.q:+}*sqrt({self.d}))/{self.r}"
 
@@ -306,7 +303,10 @@ def is_exact(x: object) -> bool:
 
 
 def cmp_exact(x: Number, y: Number) -> int:
-    """Exact three-way comparison of rationals/surds, any fields."""
+    """Exact three-way comparison of rationals/surds, any fields.  Rationals
+    compare first as the floats p/q: int / int rounds correctly, hence
+    monotonically, so unequal floats decide; equal ones (or an overflow)
+    fall back to the exact comparison."""
     if isinstance(x, Surd) and isinstance(y, Surd) and x.d != y.d:
         if x == y:
             return 0
@@ -320,6 +320,12 @@ def cmp_exact(x: Number, y: Number) -> int:
         return x._cmp(y)
     if isinstance(y, Surd):
         return -y._cmp(x)
+    try:
+        fx, fy = x.numerator / x.denominator, y.numerator / y.denominator
+        if fx != fy:
+            return 1 if fx > fy else -1
+    except (OverflowError, AttributeError):  # beyond float range; floats
+        pass
     fx, fy = Fraction(x), Fraction(y)
     return (fx > fy) - (fx < fy)
 

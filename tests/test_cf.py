@@ -252,3 +252,20 @@ def test_digit_of_infinity_signals_termination():
     with pytest.raises(TerminatedExpansion):
         digit_ab(INF, H)
     assert expand(INF, H).terminated and expand(INF, H).digits == []
+
+
+def test_state_key_of_rationals():
+    # equal rationals built in different ways share one key; keys of
+    # surds, INF and floats are unchanged and meet no rational key
+    keys = {
+        state_key(Fraction(6, 4)),
+        state_key(Fraction(3, 2)),
+        state_key(S.apply(Fraction(-2, 3))),
+        state_key(T_pow(1).apply(Fraction(1, 2))),
+    }
+    assert keys == {(3, 2)}
+    assert state_key(Fraction(3)) == state_key(3) == (3, 1)
+    g = Surd.make(-1, 1, 2, 5)
+    assert state_key(g) is g and state_key(INF) is INF
+    assert state_key(1.5) == 1.5 and state_key(0.1234567891) == 0.123456789
+    assert len({state_key(v) for v in (Fraction(3, 2), 1.5, g, INF)}) == 4

@@ -6,7 +6,9 @@ import pytest
 from scipy.integrate import dblquad, quad
 
 from abcf.attractor import build_attractor
+from abcf.cf import digit_float
 from abcf.measures import (
+    _digit_array,
     F_hat_array,
     birkhoff_average,
     entropy_closed,
@@ -228,3 +230,20 @@ def test_F_hat_step_scalar_exact():
     assert F_hat_step((Fraction(0), Fraction(1, 3)), SIMPLE) == (0, Fraction(1, 3))
     with pytest.raises(ValueError):
         F_hat_step((Fraction(9, 10), Fraction(0)), SIMPLE)
+
+
+def test_digit_array_is_digit_float_of_minus_one_over_x():
+    a, b, eps = -0.7, 0.8, SIMPLE.eps
+    rng = np.random.default_rng(5)
+    cuts = np.concatenate([np.arange(-6, 7) + a, np.arange(-6, 7) + b])
+    ys = np.concatenate(
+        [rng.uniform(-30, 30, 4000), cuts, cuts - 1e-13, cuts + 1e-13, cuts - 1e-9, cuts + 1e-9]
+    )
+    xs = -1.0 / ys
+    want = [digit_float(-1.0 / x, a, b, eps) for x in xs]
+    assert _digit_array(xs, SIMPLE).tolist() == want
+    # -1/x just below b lies on b (digit 1), and -1/x - b just below 2
+    # snaps to 2 (digit 3)
+    xs = -1.0 / np.array([b - 1e-13, 2.8 - 1e-13])
+    assert _digit_array(xs, SIMPLE).tolist() == [1, 3]
+    assert [digit_float(-1.0 / x, a, b, eps) for x in xs] == [1, 3]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -134,3 +135,35 @@ def test_composition_float_tolerance():
             continue
         scale = max(1.0, abs(lhs))
         assert abs(lhs - rhs) <= 10 * eps * scale * 1e3  # chained float error
+
+
+def test_apply_on_rationals_is_the_fraction_formula():
+    # the gcd-free action: the value of (a x + b)/(c x + d), in lowest
+    # terms with a positive denominator, and INF at the pole
+    rng = random.Random(19)
+    for _ in range(300):
+        m = from_word(rand_word(rng, rng.randint(0, 30)))
+        x = Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6))
+        for v in (x, Fraction(-m.d, m.c) if m.c else x):
+            y, den = m.apply(v), m.c * v + m.d
+            if den == 0:
+                assert y is INF
+                continue
+            assert type(y) is Fraction and y == (m.a * v + m.b) / den
+            assert y.denominator > 0 and math.gcd(y.numerator, y.denominator) == 1
+            assert hash(y) == hash(Fraction(y.numerator, y.denominator))
+        at_inf = m.apply(INF)
+        assert at_inf is INF if m.c == 0 else at_inf == Fraction(m.a, m.c)
+        k = rng.randint(-50, 50)  # an int is the rational k/1
+        assert m.apply(k) == m.apply(Fraction(k)) and type(m.apply(k)) is type(m.apply(Fraction(k)))
+
+
+def test_minus_cf_matrix_is_the_product_of_T_pow_S():
+    rng = random.Random(29)
+    assert minus_cf_matrix([]) == IDENTITY
+    for k in range(1, 40):
+        digits = [rng.randint(-6, 6) for _ in range(k)]
+        m = IDENTITY
+        for n in digits:
+            m = m @ (T_pow(n) @ S)
+        assert minus_cf_matrix(digits) == m == minus_cf_matrix(tuple(digits))

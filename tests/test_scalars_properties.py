@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abcf.scalars import (
@@ -149,3 +149,53 @@ def test_midpoint_rational_lies_strictly_between(pair, f):
         assert isinstance(m, Fraction)
         assert cmp_exact(u, m) == -1 and cmp_exact(m, v) == -1
         assert mp(u) < mp(m) < mp(v)
+
+
+@st.composite
+def rational_pairs(draw):
+    """Two rationals, ints among them, that the float filter of cmp_exact
+    cannot always separate: equal floats (a gap of 2**-80 relative),
+    values past the float range, and values that underflow to +-0.0."""
+    kind = draw(st.sampled_from(["near", "huge", "tiny", "plain"]))
+    k = draw(st.integers(-3, 3))
+    if kind == "near":
+        x = draw(fractions)
+        y = x + Fraction(k, draw(positive) * 2**80)
+    elif kind == "huge":
+        x = Fraction(draw(st.sampled_from([1, -1])) * 10**400 + draw(small), draw(positive))
+        y = draw(st.sampled_from([x + k, Fraction(k)]))
+    elif kind == "tiny":
+        x = Fraction(draw(small), 10**400)
+        y = Fraction(draw(small), 10**400 + draw(st.integers(0, 3)))
+    else:
+        x, y = draw(fractions), draw(fractions)
+    as_int = lambda v: int(v) if v.denominator == 1 and draw(st.booleans()) else v  # noqa: E731
+    return as_int(x), as_int(y)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(rational_pairs())
+@example((10**400, 10**400 + 1))
+@example((Fraction(1, 3), Fraction(1, 3) + Fraction(1, 3 * 2**80)))
+@example((Fraction(-1, 10**400), 0))
+@example((Fraction(5), 5))
+def test_cmp_exact_on_rationals_is_fraction_order(pair):
+    x, y = pair
+    X, Y = Fraction(x), Fraction(y)
+    assert cmp_exact(x, y) == (X > Y) - (X < Y) == -cmp_exact(y, x)
+
+
+def test_float_filter_edge_cases_take_the_exact_path():
+    # equal floats, an overflow and two underflows to -0.0 and 0.0: each is
+    # decided exactly, not by the floats
+    x = Fraction(1, 3)
+    y = x + Fraction(1, 3 * 2**80)
+    assert x.numerator / x.denominator == y.numerator / y.denominator
+    assert cmp_exact(x, y) == -1 and cmp_exact(y, x) == 1
+    with pytest.raises(OverflowError):
+        Fraction(10**400 + 1, 7).numerator / 7
+    assert cmp_exact(Fraction(10**400 + 1, 7), Fraction(10**400, 7)) == 1
+    assert cmp_exact(10**400, Fraction(1, 2)) == 1 and cmp_exact(-(10**400), 0) == -1
+    neg, pos = Fraction(-1, 10**400), Fraction(1, 10**401)
+    assert neg.numerator / neg.denominator == 0.0 == pos.numerator / pos.denominator
+    assert cmp_exact(neg, pos) == -1 and cmp_exact(neg, 0) == -1 and cmp_exact(0, pos) == -1
