@@ -86,19 +86,20 @@ def nu_density(x: float, y: float, params: Params) -> float:
     return 1.0 / (norm_const(params) * (1.0 + x * y) ** 2)
 
 
-def _mu_terms(params: Params) -> list[tuple[float, float, Callable[[float], float]]]:
+def _mu_terms(params: Params) -> list[tuple[float, float, Callable, Callable]]:
+    """(lo, hi, weight, antiderivative of the weight) of the x-marginal."""
     a, b = as_float(params.a), as_float(params.b)
     return [
-        (a, -1 / b + 1, lambda x: 1.0 / (1.0 - x)),
-        (-1 / b + 1, a + 1, lambda x: 1.0 / (2.0 - x)),
-        (b - 1, -1 / a - 1, lambda x: 1.0 / (x + 2.0)),
-        (-1 / a - 1, b, lambda x: 1.0 / (x + 1.0)),
+        (a, -1 / b + 1, lambda x: 1.0 / (1.0 - x), lambda t: -math.log(1.0 - t)),
+        (-1 / b + 1, a + 1, lambda x: 1.0 / (2.0 - x), lambda t: -math.log(2.0 - t)),
+        (b - 1, -1 / a - 1, lambda x: 1.0 / (x + 2.0), lambda t: math.log(t + 2.0)),
+        (-1 / a - 1, b, lambda x: 1.0 / (x + 1.0), lambda t: math.log(t + 1.0)),
     ]
 
 
 def mu_density(x: float, params: Params) -> float:
     val = 0.0
-    for lo, hi, w in _mu_terms(params):
+    for lo, hi, w, _ in _mu_terms(params):
         if lo <= x <= hi:
             val += w(x)
     return val / norm_const(params)
@@ -119,7 +120,7 @@ def nu_mass(params: Params) -> float:
 
 def mu_mass(params: Params, tol: float = 1e-10) -> float:
     total = 0.0
-    for lo, hi, w in _mu_terms(params):
+    for lo, hi, w, _ in _mu_terms(params):
         if hi > lo:
             v, _ = quad(w, lo, hi, epsabs=tol, epsrel=tol)
             total += v
@@ -128,40 +129,61 @@ def mu_mass(params: Params, tol: float = 1e-10) -> float:
 
 def mu_cdf(x: float, params: Params) -> float:
     """Exact piecewise-log distribution function of the x-marginal."""
-    anti = [
-        lambda t: -math.log(1.0 - t),
-        lambda t: -math.log(2.0 - t),
-        lambda t: math.log(t + 2.0),
-        lambda t: math.log(t + 1.0),
-    ]
+    return _mu_cdf(x, _mu_terms(params), norm_const(params))
+
+
+def _mu_cdf(x: float, terms: list, C: float) -> float:
     total = 0.0
-    for (lo, hi, _), F in zip(_mu_terms(params), anti):
+    for lo, hi, _, F in terms:
         u = min(max(x, lo), hi)
         if u > lo:
             total += F(u) - F(lo)
-    return total / norm_const(params)
+    return total / C
 
 
 def nu_y_cdf(y: float, params: Params) -> float:
     """Distribution function of the y-marginal of the 2D density."""
-    dom = hat_domain(params)
+    return _nu_y_cdf(y, hat_domain(params).boxes, norm_const(params))
+
+
+def _nu_y_cdf(y: float, boxes: list[Box], C: float) -> float:
     total = 0.0
-    for b in dom.boxes:
+    for b in boxes:
         yy = min(max(y, b.y_lo), b.y_hi)
         if yy > b.y_lo:
             total += _box_nu_integral(Box(b.x_lo, b.x_hi, b.y_lo, yy))
-    return total / norm_const(params)
+    return total / C
 
 
 # -- sampling and the invariance statistic --------------------------------
 
 
+def _box_uniforms(rng: np.random.Generator, boxes: list[Box], cdf: np.ndarray, m: int):
+    """m points, each uniform in a box drawn from the distribution cdf.
+
+    The stream is that of rng.choice(len(boxes), m, p=...) -- one
+    random(m) searched in cdf -- then uniform x and y draws for every point
+    of box 0, of box 1, ...; no pass over the m points is made per box.
+    """
+    picks = (rng.random(m) >= cdf[:-1, None]).sum(0, dtype=np.int8)
+    ends = np.bincount(picks, minlength=len(boxes)).cumsum()
+    order = np.argsort(picks, kind="stable")  # each box's indices, ascending
+    xs, ys = np.empty(m), np.empty(m)
+    for b, sel in zip(boxes, np.split(order, ends[:-1])):
+        xs[sel] = rng.uniform(b.x_lo, b.x_hi, len(sel))
+        ys[sel] = rng.uniform(b.y_lo, b.y_hi, len(sel))
+    return xs, ys
+
+
 def sample_nu(params: Params, n: int, seed: int) -> np.ndarray:
-    """Rejection-sample the invariant 2D density box by box."""
+    """Rejection-sample the invariant 2D density box by box: each round
+    draws m = max(4096, 2 (n - filled)) candidates by _box_uniforms, then
+    uniform(0, 1, m) for acceptance, so a seed fixes the output bits."""
     dom = hat_domain(params)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     areas = np.array([(b.x_hi - b.x_lo) * (b.y_hi - b.y_lo) for b in dom.boxes])
-    weights = areas / areas.sum()
+    cdf = (areas / areas.sum()).cumsum()
+    cdf /= cdf[-1]
     # the density 1/(1+xy)^2 is monotone along box edges, so its maximum
     # over the closed domain sits at a box corner
     dens_max = max(
@@ -174,20 +196,12 @@ def sample_nu(params: Params, n: int, seed: int) -> np.ndarray:
     filled = 0
     while filled < n:
         m = max(4096, 2 * (n - filled))
-        picks = rng.choice(len(dom.boxes), size=m, p=weights)
-        xs = np.empty(m)
-        ys = np.empty(m)
-        for i, b in enumerate(dom.boxes):
-            sel = picks == i
-            k = int(sel.sum())
-            xs[sel] = rng.uniform(b.x_lo, b.x_hi, k)
-            ys[sel] = rng.uniform(b.y_lo, b.y_hi, k)
+        xs, ys = _box_uniforms(rng, dom.boxes, cdf, m)
         dens = 1.0 / (1.0 + xs * ys) ** 2
-        accept = rng.uniform(0, 1, m) * dens_max <= dens
-        take = min(n - filled, int(accept.sum()))
-        out[filled : filled + take, 0] = xs[accept][:take]
-        out[filled : filled + take, 1] = ys[accept][:take]
-        filled += take
+        take = np.flatnonzero(rng.uniform(0, 1, m) * dens_max <= dens)[: n - filled]
+        out[filled : filled + len(take), 0] = xs[take]
+        out[filled : filled + len(take), 1] = ys[take]
+        filled += len(take)
     return out
 
 
@@ -222,25 +236,21 @@ def invariance_check(params: Params, n_points: int, seed: int) -> float:
         return float("nan")
     pts = sample_nu(params, n_points, seed)
     xs, ys = F_hat_array(pts[:, 0], pts[:, 1], params)
-
-    xs_sorted = np.sort(xs)
-    ref = np.array([mu_cdf(v, params) for v in _cdf_grid(xs_sorted)])
-    emp = np.searchsorted(xs_sorted, _cdf_grid(xs_sorted), side="right") / len(xs_sorted)
-    ks_x = float(np.abs(emp - ref).max())
-
-    ys_sorted = np.sort(ys)
-    ref_y = np.array([nu_y_cdf(v, params) for v in _cdf_grid(ys_sorted)])
-    emp_y = np.searchsorted(ys_sorted, _cdf_grid(ys_sorted), side="right") / len(ys_sorted)
-    ks_y = float(np.abs(emp_y - ref_y).max())
-    return max(ks_x, ks_y)
+    terms, boxes, C = _mu_terms(params), hat_domain(params).boxes, norm_const(params)
+    return max(_ks(xs, lambda v: _mu_cdf(v, terms, C)), _ks(ys, lambda v: _nu_y_cdf(v, boxes, C)))
 
 
 #: points of the grid on which the KS statistic compares distribution functions
 CDF_GRID = 512
 
 
-def _cdf_grid(sorted_vals: np.ndarray) -> np.ndarray:
-    return np.linspace(sorted_vals[0], sorted_vals[-1], CDF_GRID)
+def _ks(vals: np.ndarray, cdf: Callable[[float], float]) -> float:
+    """Sup distance between the empirical and the given distribution
+    function, on CDF_GRID evenly spaced points across the sample."""
+    vals = np.sort(vals)
+    grid = np.linspace(vals[0], vals[-1], CDF_GRID)
+    emp = np.searchsorted(vals, grid, side="right") / len(vals)
+    return float(np.abs(emp - np.array([cdf(v) for v in grid])).max())
 
 
 # -- entropy ----------------------------------------------------------------
@@ -278,7 +288,7 @@ def _int_log_weight(lo: float, hi: float, w: Callable[[float], float], tol: floa
 
 def rokhlin_integral(params: Params, tol: float = 1e-12) -> float:
     """I(a,b): the sum of the four log-weighted integrals (equals -pi^2/6)."""
-    return sum(_int_log_weight(lo, hi, w, tol) for lo, hi, w in _mu_terms(params))
+    return sum(_int_log_weight(lo, hi, w, tol) for lo, hi, w, _ in _mu_terms(params))
 
 
 def entropy_rokhlin(params: Params, tol: float = 1e-12) -> float:
@@ -296,17 +306,24 @@ def birkhoff_average(
     seed: int,
 ) -> float:
     """Time average of an observable along one first-return orbit from a
-    uniform random start in [a, b)."""
+    uniform random start in [a, b).
+
+    The orbit restarts from a new uniform start when it escapes (x = 0 or
+    not finite) or returns to the value it had at the last step divisible
+    by 16: a float orbit that repeats is stuck in a cycle, and one of
+    period up to 16 is caught within 32 steps of entering it."""
     rng = np.random.default_rng(seed)
     a, b, eps = as_float(params.a), as_float(params.b), params.eps
     x = rng.uniform(a, b)
     xs = np.empty(n_steps)
     for i in range(n_steps):
         xs[i] = x
+        if not i & 15:
+            mark = x
         y = -1.0 / x
         x = y - digit_float(y, a, b, eps)
-        if x == 0 or not math.isfinite(x):
-            x = rng.uniform(a, b)  # rational escape; restart (measure zero)
+        if x == 0 or x == mark or not math.isfinite(x):
+            x = rng.uniform(a, b)  # escape or float cycle; restart (measure zero)
     return float(np.mean(observable(xs)))
 
 

@@ -70,6 +70,69 @@ def test_F_hat_pushforward_stays_inside():
     assert ok.mean() > 0.99999
 
 
+def _sample_nu_reference(params, n, seed):
+    """The sampler as first written: rng.choice picks, then one boolean
+    mask per box; sample_nu must return its bits."""
+    dom = hat_domain(params)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    areas = np.array([(b.x_hi - b.x_lo) * (b.y_hi - b.y_lo) for b in dom.boxes])
+    weights = areas / areas.sum()
+    dens_max = max(
+        1.0 / (1.0 + xc * yc) ** 2
+        for b in dom.boxes
+        for xc in (b.x_lo, b.x_hi)
+        for yc in (b.y_lo, b.y_hi)
+    )
+    out = np.empty((n, 2))
+    filled = 0
+    while filled < n:
+        m = max(4096, 2 * (n - filled))
+        picks = rng.choice(len(dom.boxes), size=m, p=weights)
+        xs = np.empty(m)
+        ys = np.empty(m)
+        for i, b in enumerate(dom.boxes):
+            sel = picks == i
+            k = int(sel.sum())
+            xs[sel] = rng.uniform(b.x_lo, b.x_hi, k)
+            ys[sel] = rng.uniform(b.y_lo, b.y_hi, k)
+        dens = 1.0 / (1.0 + xs * ys) ** 2
+        accept = rng.uniform(0, 1, m) * dens_max <= dens
+        take = min(n - filled, int(accept.sum()))
+        out[filled : filled + take, 0] = xs[accept][:take]
+        out[filled : filled + take, 1] = ys[accept][:take]
+        filled += take
+    return out
+
+
+SAMPLER_PAIRS = [SIMPLE, M11, Params.make("-3/5", "3/4"), Params.make("-1", "1/2")]
+
+
+@pytest.mark.parametrize("params", SAMPLER_PAIRS, ids=lambda p: f"{p.a},{p.b}")
+def test_sample_nu_matches_the_mask_reference(params):
+    for n in (1, 4096, 5000):
+        for seed in (3, 20):
+            want = _sample_nu_reference(params, n, seed)
+            assert sample_nu(params, n, seed).tobytes() == want.tobytes()
+
+
+def test_sample_nu_second_round_matches_the_reference():
+    # (-1, 1/2) accepts 49.4 % of its candidates, so 2e6 candidates leave
+    # the 1e6 points short and the loop draws a second round
+    p = Params.make("-1", "1/2")
+    assert sample_nu(p, 1_000_000, 7).tobytes() == _sample_nu_reference(p, 1_000_000, 7).tobytes()
+
+
+def test_invariance_check_is_pinned():
+    # the KS statistic as the one-call-per-grid-point version computed it
+    pinned = [
+        (("-7/10", "4/5"), 4, 0.00748016934668938),
+        (("-1", "1/2"), 9, 0.004491636640809038),
+        (("-3/5", "3/4"), 2, 0.006415995186358825),
+    ]
+    for ab, seed, want in pinned:
+        assert invariance_check(Params.make(*ab), 20_000, seed) == want
+
+
 def test_nu_mass_closed_form_and_quadrature():
     for p in (SIMPLE, M11):
         assert abs(nu_mass(p) - 1) < 1e-12
@@ -209,6 +272,13 @@ def test_birkhoff_average_orbit_is_pinned():
     ]
     for ab, want in pinned:
         assert birkhoff_average(Params.make(*ab), np.cos, 50_000, seed=3) == want
+
+
+def test_birkhoff_average_leaves_a_float_cycle():
+    # seed 73 on (-7/10, 4/5) enters a period-8 float cycle through
+    # x ~ 4.8e-7 at step 737,468; without a restart -2 log|x| averages 4.12
+    avg = birkhoff_average(SIMPLE, lambda xs: -2.0 * np.log(np.abs(xs)), 800_000, seed=73)
+    assert abs(avg - entropy_closed(SIMPLE)) < 1e-2
 
 
 def test_birkhoff_average_surd_pair():
