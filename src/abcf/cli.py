@@ -158,7 +158,7 @@ def main(argv=None) -> int:
         return 1
     except (ConstructionError, PrecisionError) as exc:
         return _error(exc, 2)
-    except (ValueError, MixedFieldError) as exc:
+    except (ValueError, MixedFieldError, OSError) as exc:
         return _error(exc, 1)
 
 

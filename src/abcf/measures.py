@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .cf import digit_float, f_hat_step
 from .natext import Box
@@ -119,6 +118,11 @@ def nu_mass(params: Params) -> float:
 
 
 def mu_mass(params: Params, tol: float = 1e-10) -> float:
+    # scipy.integrate is imported here and in _int_log_weight, not at module
+    # top: it is about three quarters of the package's import time, and no
+    # exact command (expand, cycle, attractor, exceptional, ...) integrates
+    from scipy.integrate import quad
+
     total = 0.0
     for lo, hi, w, _ in _mu_terms(params):
         if hi > lo:
@@ -263,6 +267,8 @@ def _int_log_weight(lo: float, hi: float, w: Callable[[float], float], tol: floa
     the remainder (w(x) - w(0)) log|x| is continuous, so plain adaptive
     quadrature converges.
     """
+    from scipy.integrate import quad
+
     if hi <= lo:
         return 0.0
 

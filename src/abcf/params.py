@@ -8,6 +8,7 @@ pairs compare through the pair's tolerance ``eps``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -43,6 +44,8 @@ class Params:
     eps: float = 1e-12
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ParamError(f"eps must be finite and >= 0, got {self.eps}")
         a, b = self.a, self.b
         if isinstance(a, float) != isinstance(b, float):
             raise ParamError("a and b must share one scalar backing")

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 from abcf.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args, capsys):
@@ -107,6 +109,15 @@ def test_measures_command(capsys):
     assert abs(payload["h_closed"] - payload["h_rokhlin"]) < 1e-5
 
 
+def test_bad_eps_is_a_usage_error(capsys):
+    for eps in ("-1", "nan", "inf"):
+        code = main(["measures", "--a", "-7/10", "--b", "4/5", "--n-points", "1000",
+                     "--eps", eps])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "eps must be finite and >= 0" in captured.err
+
+
 def test_measures_outside_simple_case(capsys):
     code = main(["measures", "--a", "-4/5", "--b", "2/5"])
     assert code == 1
@@ -136,6 +147,45 @@ def test_plot_byte_deterministic(tmp_path):
     assert main(args + ["--out", str(f1)]) == 0
     assert main(args + ["--out", str(f2)]) == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_unwritable_out_exits_1(tmp_path, capsys):
+    _assert_json_error(capsys, ["plot", "--a", "-1/2", "--b", "1/2",
+                                "--out", str(tmp_path / "missing" / "x.svg")],
+                       1, "FileNotFoundError")
+
+
+#: a fresh interpreter runs every command but measures, then lists the scipy
+#: modules loaded; measures afterwards must load scipy.integrate
+_COLD_IMPORT = """
+import contextlib, io, json, sys
+import abcf, abcf.cli
+pair = ["--a", "-4/5", "--b", "2/5"]
+runs = [
+    ["expand", *pair, "--x", "7/3"],
+    ["cycle", *pair, "--which", "b"],
+    ["attractor", *pair, "--format", "json"],
+    ["exceptional", "--plan", "m=3;1x2,1x2", "--target-width", "1e-3"],
+    ["verify", *pair, "--suite", "bijectivity"],
+]
+status = []
+with contextlib.redirect_stdout(io.StringIO()):
+    status += [abcf.cli.main(argv) for argv in runs]
+    exact = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    status.append(abcf.cli.main(["measures", "--a", "-7/10", "--b", "4/5", "--n-points", "1000"]))
+print(json.dumps({"status": status, "exact": exact, "measures": "scipy.integrate" in sys.modules}))
+"""
+
+
+def test_exact_commands_do_not_load_scipy():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    res = subprocess.run([sys.executable, "-c", _COLD_IMPORT], capture_output=True,
+                         text=True, env=env, check=True)
+    report = json.loads(res.stdout)
+    assert report["status"] == [0] * 6
+    assert report["exact"] == []
+    assert report["measures"] is True
 
 
 def test_console_entry_point():
