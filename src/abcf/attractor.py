@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -662,9 +663,7 @@ def compare_with_oracle(dom: RectDomain, cloud: Cloud) -> OracleComparison:
     inside = dom.contains_array(pts[:, 0], pts[:, 1], ORACLE_TOL)
     frac = float(inside.mean())
 
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(pts)
+    px, py = pts[np.argsort(pts[:, 1], kind="stable")].T.copy()  # the cloud sorted by y
     gap = 0.0
     for s in dom.upper + dom.lower:
         y = as_float(s.y)
@@ -675,10 +674,30 @@ def compare_with_oracle(dom: RectDomain, cloud: Cloud) -> OracleComparison:
         if hi <= lo:
             continue
         xs = np.linspace(lo, hi, SAMPLES_PER_STEP)
-        d, _ = tree.query(np.column_stack([xs, np.full_like(xs, y)]))
         # set distance: how close the cloud comes to this step anywhere
-        gap = max(gap, float(d.min()))
+        gap = max(gap, _nearest_distance(px, py, xs, y, gap))
     return OracleComparison(frac, gap, len(pts))
+
+
+def _nearest_distance(
+    px: np.ndarray, py: np.ndarray, xs: np.ndarray, y: float, floor: float
+) -> float:
+    """Least distance from the samples (xs, y) to the points (px, py) sorted
+    by py, or a value <= floor when it is <= floor.  Points with |py - y| <= r
+    are measured to their nearest sample in x (a KD-tree's float), r growing
+    fourfold, until the least is <= floor or <= |py - y| of the nearest point
+    left out, which bounds every left-out distance, in floats too."""
+    r = max(floor, xs[1] - xs[0], ORACLE_TOL)
+    while True:
+        j0, j1 = np.searchsorted(py, y - r), np.searchsorted(py, y + r, side="right")
+        wx, dy = px[j0:j1], py[j0:j1] - y
+        i = np.searchsorted(xs, wx).clip(1, len(xs) - 1)
+        dx = np.minimum(np.abs(wx - xs[i - 1]), np.abs(wx - xs[i]))
+        m = float(np.sqrt(dx * dx + dy * dy).min()) if j1 > j0 else math.inf
+        left_out = min(y - py[j0 - 1] if j0 else math.inf, py[j1] - y if j1 < len(py) else math.inf)
+        if m <= max(left_out, floor):
+            return m
+        r *= 4
 
 
 @dataclass

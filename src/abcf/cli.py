@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -65,8 +66,17 @@ def _write(text: str, path) -> None:
         sys.stdout.write(text)
 
 
+def _json_safe(v):
+    """v with every non-finite float replaced by None: JSON has no NaN."""
+    if isinstance(v, dict):
+        return {k: _json_safe(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_safe(x) for x in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _emit(payload: dict, args) -> None:
-    _write(json.dumps(payload, indent=2, default=str) + "\n", args.out)
+    _write(json.dumps(_json_safe(payload), indent=2, default=str, allow_nan=False) + "\n", args.out)
 
 
 def _config_echo(args) -> dict:

@@ -6,8 +6,8 @@ the two-dimensional invariant density is 1/(C (1+xy)^2) with
 C = log[(1+b)(1-a)], its x-marginal is an explicit sum of four
 1/(linear) terms, and the entropy of the one-dimensional map is
 pi^2/(3 C) - checked independently through Rokhlin's formula
-h = -2 int log|x| dmu, whose integrand has an integrable logarithmic
-singularity at the origin.
+h = -2 int log|x| dmu, which integrates term by term in closed form
+through the dilogarithm.
 """
 
 from __future__ import annotations
@@ -85,22 +85,23 @@ def nu_density(x: float, y: float, params: Params) -> float:
     return 1.0 / (norm_const(params) * (1.0 + x * y) ** 2)
 
 
-def _mu_terms(params: Params) -> list[tuple[float, float, Callable, Callable]]:
-    """(lo, hi, weight, antiderivative of the weight) of the x-marginal."""
+def _mu_terms(params: Params) -> list[tuple[float, float, float]]:
+    """(lo, hi, c) of the x-marginal's terms: the weight 1/|x + c| on
+    [lo, hi], where x + c has the sign of c."""
     a, b = as_float(params.a), as_float(params.b)
     return [
-        (a, -1 / b + 1, lambda x: 1.0 / (1.0 - x), lambda t: -math.log(1.0 - t)),
-        (-1 / b + 1, a + 1, lambda x: 1.0 / (2.0 - x), lambda t: -math.log(2.0 - t)),
-        (b - 1, -1 / a - 1, lambda x: 1.0 / (x + 2.0), lambda t: math.log(t + 2.0)),
-        (-1 / a - 1, b, lambda x: 1.0 / (x + 1.0), lambda t: math.log(t + 1.0)),
+        (a, -1 / b + 1, -1.0),
+        (-1 / b + 1, a + 1, -2.0),
+        (b - 1, -1 / a - 1, 2.0),
+        (-1 / a - 1, b, 1.0),
     ]
 
 
 def mu_density(x: float, params: Params) -> float:
     val = 0.0
-    for lo, hi, w, _ in _mu_terms(params):
+    for lo, hi, c in _mu_terms(params):
         if lo <= x <= hi:
-            val += w(x)
+            val += 1.0 / abs(x + c)
     return val / norm_const(params)
 
 
@@ -117,18 +118,8 @@ def nu_mass(params: Params) -> float:
     return sum(_box_nu_integral(b) for b in dom.boxes) / norm_const(params)
 
 
-def mu_mass(params: Params, tol: float = 1e-10) -> float:
-    # scipy.integrate is imported here and in _int_log_weight, not at module
-    # top: it is about three quarters of the package's import time, and no
-    # exact command (expand, cycle, attractor, exceptional, ...) integrates
-    from scipy.integrate import quad
-
-    total = 0.0
-    for lo, hi, w, _ in _mu_terms(params):
-        if hi > lo:
-            v, _ = quad(w, lo, hi, epsabs=tol, epsrel=tol)
-            total += v
-    return total / norm_const(params)
+def mu_mass(params: Params) -> float:
+    return mu_cdf(math.inf, params)
 
 
 def mu_cdf(x: float, params: Params) -> float:
@@ -138,10 +129,10 @@ def mu_cdf(x: float, params: Params) -> float:
 
 def _mu_cdf(x: float, terms: list, C: float) -> float:
     total = 0.0
-    for lo, hi, _, F in terms:
+    for lo, hi, c in terms:
         u = min(max(x, lo), hi)
-        if u > lo:
-            total += F(u) - F(lo)
+        if u > lo:  # the weight's antiderivative is sign(c) log|x + c|
+            total += math.copysign(1.0, c) * (math.log(abs(u + c)) - math.log(abs(lo + c)))
     return total / C
 
 
@@ -260,45 +251,36 @@ def _ks(vals: np.ndarray, cdf: Callable[[float], float]) -> float:
 # -- entropy ----------------------------------------------------------------
 
 
-def _int_log_weight(lo: float, hi: float, w: Callable[[float], float], tol: float) -> float:
-    """int_lo^hi log|x| w(x) dx with the log singularity at 0 split off.
-
-    On the tip adjacent to 0 the integral of w(0) log|x| is analytic and
-    the remainder (w(x) - w(0)) log|x| is continuous, so plain adaptive
-    quadrature converges.
-    """
-    from scipy.integrate import quad
-
-    if hi <= lo:
-        return 0.0
-
-    def f(x: float) -> float:
-        return math.log(abs(x)) * w(x)
-
-    if lo >= 0 or hi <= 0:
-        ends = sorted((abs(lo), abs(hi)))
-        if ends[0] > 0:
-            v, _ = quad(f, lo, hi, epsabs=tol, epsrel=tol, limit=200)
-            return v
-        # one endpoint at 0: subtract w(0) log|x|
-        w0 = w(0.0)
-        e = ends[1]
-
-        def g(x: float) -> float:
-            return (w(x) - w0) * math.log(abs(x)) if x != 0 else 0.0
-
-        v, _ = quad(g, lo, hi, epsabs=tol, epsrel=tol, limit=200)
-        return v + w0 * e * (math.log(e) - 1.0)
-    return _int_log_weight(lo, 0.0, w, tol) + _int_log_weight(0.0, hi, w, tol)
+def _li2(t: float) -> float:
+    """The real dilogarithm Li2(t) = sum t^k / k^2 for t <= 1: the series
+    on [0, 1/2], reached through the 1/t, t/(t - 1) and 1 - t identities."""
+    if t < -1.0:
+        return -math.pi**2 / 6 - 0.5 * math.log(-t) ** 2 - _li2(1.0 / t)
+    if t < 0.0:
+        return -_li2(t / (t - 1.0)) - 0.5 * math.log1p(-t) ** 2
+    if t == 1.0:
+        return math.pi**2 / 6
+    if t > 0.5:
+        return math.pi**2 / 6 - math.log(t) * math.log1p(-t) - _li2(1.0 - t)
+    # the terms past k = 50 add less than t^50 / 50^2, under an ulp of Li2(t) >= t
+    return math.fsum(t**k / (k * k) for k in range(1, 51))
 
 
-def rokhlin_integral(params: Params, tol: float = 1e-12) -> float:
-    """I(a,b): the sum of the four log-weighted integrals (equals -pi^2/6)."""
-    return sum(_int_log_weight(lo, hi, w, tol) for lo, hi, w, _ in _mu_terms(params))
+def _log_moment(x: float, c: float) -> float:
+    """An antiderivative of log|x| / |x + c| off the pole:
+    sign(c) (log|x| log(1 - t) + Li2(t)) with t = -x/c."""
+    t = -x / c
+    return math.copysign(1.0, c) * ((math.log(abs(x)) if x else 0.0) * math.log1p(-t) + _li2(t))
 
 
-def entropy_rokhlin(params: Params, tol: float = 1e-12) -> float:
-    return -2.0 * rokhlin_integral(params, tol) / norm_const(params)
+def rokhlin_integral(params: Params) -> float:
+    """I(a,b) = int log|x| (C mu)(dx), term by term (equals -pi^2/6)."""
+    terms = _mu_terms(params)
+    return sum(_log_moment(hi, c) - _log_moment(lo, c) for lo, hi, c in terms if hi > lo)
+
+
+def entropy_rokhlin(params: Params) -> float:
+    return -2.0 * rokhlin_integral(params) / norm_const(params)
 
 
 def entropy_closed(params: Params) -> float:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from abcf.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -155,37 +157,64 @@ def test_unwritable_out_exits_1(tmp_path, capsys):
                        1, "FileNotFoundError")
 
 
-#: a fresh interpreter runs every command but measures, then lists the scipy
-#: modules loaded; measures afterwards must load scipy.integrate
+#: a fresh interpreter runs every command, then lists the scipy modules
+#: loaded; with BLOCK, importing scipy raises ImportError
 _COLD_IMPORT = """
 import contextlib, io, json, sys
+if "BLOCK" in sys.argv:
+    sys.modules["scipy"] = None
 import abcf, abcf.cli
 pair = ["--a", "-4/5", "--b", "2/5"]
 runs = [
     ["expand", *pair, "--x", "7/3"],
     ["cycle", *pair, "--which", "b"],
     ["attractor", *pair, "--format", "json"],
+    ["oracle", *pair, "--n-points", "200", "--burn-in", "20"],
     ["exceptional", "--plan", "m=3;1x2,1x2", "--target-width", "1e-3"],
     ["verify", *pair, "--suite", "bijectivity"],
+    ["verify", *pair, "--suite", "all", "--n-points", "1000", "--burn-in", "200", "--grid", "6"],
+    ["measures", "--a", "-7/10", "--b", "4/5", "--n-points", "1000"],
+    ["plot", *pair, "--with-cloud", "--n-points", "200", "--burn-in", "20", "--out", sys.argv[1]],
 ]
-status = []
 with contextlib.redirect_stdout(io.StringIO()):
-    status += [abcf.cli.main(argv) for argv in runs]
-    exact = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-    status.append(abcf.cli.main(["measures", "--a", "-7/10", "--b", "4/5", "--n-points", "1000"]))
-print(json.dumps({"status": status, "exact": exact, "measures": "scipy.integrate" in sys.modules}))
+    status = [abcf.cli.main(argv) for argv in runs]
+loaded = sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mod is not None)
+print(json.dumps({"status": status, "scipy": loaded}))
 """
 
 
-def test_exact_commands_do_not_load_scipy():
+def _run_every_command(tmp_path, *flags):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    res = subprocess.run([sys.executable, "-c", _COLD_IMPORT], capture_output=True,
-                         text=True, env=env, check=True)
-    report = json.loads(res.stdout)
-    assert report["status"] == [0] * 6
-    assert report["exact"] == []
-    assert report["measures"] is True
+    argv = [sys.executable, "-c", _COLD_IMPORT, str(tmp_path / "p.svg"), *flags]
+    report = json.loads(subprocess.run(argv, capture_output=True, text=True, env=env,
+                                       check=True).stdout)
+    assert report["status"] == [0] * 9
+    assert report["scipy"] == []
+
+
+def test_exact_commands_do_not_load_scipy(tmp_path):
+    _run_every_command(tmp_path)
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    _run_every_command(tmp_path, "BLOCK")
+
+
+def _reject_constant(name):
+    raise ValueError(f"invalid JSON constant {name}")
+
+
+@pytest.mark.parametrize("args,section,key", [
+    (["measures", "--a", "-7/10", "--b", "4/5", "--n-points", "0"], None, "ks_stat"),
+    (["verify", "--a", "-4/5", "--b", "2/5", "--suite", "reduction", "--grid", "0"],
+     "reduction", "coverage"),
+])
+def test_undefined_statistics_print_as_null(args, section, key, capsys):
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert (payload[section] if section else payload)[key] is None
 
 
 def test_console_entry_point():

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
@@ -9,6 +10,8 @@ from abcf.attractor import build_attractor
 from abcf.cf import digit_float
 from abcf.measures import (
     _digit_array,
+    _li2,
+    _mu_terms,
     F_hat_array,
     birkhoff_average,
     entropy_closed,
@@ -207,6 +210,49 @@ def test_rokhlin_integral_constant():
             continue
         assert abs(rokhlin_integral(p) + math.pi**2 / 6) <= 1e-6
         found += 1
+
+
+#: simple-case pairs on which the closed-form entropy integral is checked
+ROKHLIN_PAIRS = [SIMPLE, M11, Params.make("-3/5", "3/4"), Params.make("-3/4", "9/10"),
+                 Params.make("-5/6", "5/6"), Params.make("-1", "1/2")]
+
+
+def test_li2_matches_mpmath():
+    grid = np.concatenate([np.linspace(-10.0, 1.0, 441), [-1.0, -0.0, 0.5, 1.0, 1e-9, -1e-9]])
+    for t in grid:
+        with mpmath.workdps(30):
+            want = float(mpmath.polylog(2, mpmath.mpf(float(t))))
+        assert abs(_li2(float(t)) - want) <= 1e-15, t
+    assert _li2(1.0) == math.pi**2 / 6 and _li2(0.0) == 0.0
+
+
+def _quad_log_weight(lo, hi, c, tol=1e-12):
+    """int_lo^hi log|x| / |x + c| dx by adaptive quadrature, the log
+    singularity at 0 split off (the integrator the closed form replaced)."""
+    w = lambda x: 1.0 / abs(x + c)  # noqa: E731
+    if hi <= lo:
+        return 0.0
+    if lo < 0 < hi:
+        return _quad_log_weight(lo, 0.0, c, tol) + _quad_log_weight(0.0, hi, c, tol)
+    e = max(abs(lo), abs(hi))
+    if min(abs(lo), abs(hi)) > 0:
+        return quad(lambda x: math.log(abs(x)) * w(x), lo, hi, epsabs=tol, epsrel=tol, limit=200)[0]
+    # one endpoint at 0: subtract w(0) log|x|, whose integral is analytic
+    w0 = w(0.0)
+    g = lambda x: (w(x) - w0) * math.log(abs(x)) if x != 0 else 0.0  # noqa: E731
+    return quad(g, lo, hi, epsabs=tol, epsrel=tol, limit=200)[0] + w0 * e * (math.log(e) - 1.0)
+
+
+@pytest.mark.parametrize("p", ROKHLIN_PAIRS, ids=lambda p: f"{p.a},{p.b}")
+def test_rokhlin_integral_matches_quadrature(p):
+    want = sum(_quad_log_weight(lo, hi, c) for lo, hi, c in _mu_terms(p))
+    assert abs(rokhlin_integral(p) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("p", ROKHLIN_PAIRS, ids=lambda p: f"{p.a},{p.b}")
+def test_rokhlin_integral_is_minus_zeta2(p):
+    assert abs(rokhlin_integral(p) + math.pi**2 / 6) <= 1e-12
+    assert abs(mu_mass(p) - 1) <= 1e-12
 
 
 def test_coordinate_change_conjugacy():
