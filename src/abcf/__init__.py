@@ -53,7 +53,7 @@ from .mobius import Mobius, NonHyperbolicError, S, T, T_INV
 from .natext import (
     Cloud,
     F_step,
-    TrapRegion,
+    Region,
     rho,
     sample_attractor,
     time_to_trap,

@@ -32,6 +32,7 @@ from .natext import (
     Box,
     Cloud,
     F_step_array,
+    Region,
     invariant_box_measure,
     mobius_box_image,
 )
@@ -117,26 +118,19 @@ class RectDomain:
 
     # -- geometry ---------------------------------------------------------
 
-    def lower_boxes(self) -> list[Box]:
+    def region(self) -> Region:
+        """The boxes of the upper component, then those of the lower one."""
         out = []
+        for i, s in enumerate(self.upper):
+            nxt: Bound = self.upper[i + 1].y if i + 1 < len(self.upper) else POS_INF
+            if cmp_bound(s.y, nxt) < 0:
+                out.append(Box(NEG_INF, s.x_hi, s.y, nxt))
         prev: Bound = NEG_INF
         for s in self.lower:
             if cmp_bound(prev, s.y) < 0:
                 out.append(Box(s.x_lo, POS_INF, prev, s.y))
             prev = s.y
-        return out
-
-    def upper_boxes(self) -> list[Box]:
-        out = []
-        steps = self.upper
-        for i, s in enumerate(steps):
-            nxt: Bound = steps[i + 1].y if i + 1 < len(steps) else POS_INF
-            if cmp_bound(s.y, nxt) < 0:
-                out.append(Box(NEG_INF, s.x_hi, s.y, nxt))
-        return out
-
-    def boxes(self) -> list[Box]:
-        return self.upper_boxes() + self.lower_boxes()
+        return Region(tuple(out))
 
     # -- membership --------------------------------------------------------
 
@@ -162,11 +156,6 @@ class RectDomain:
             idxc = np.maximum(idx, 0)
             inside |= ok & (xs <= up_rights[idxc] + tol)
         return inside
-
-    def contains(self, x: ExtReal, y: ExtReal, tol: float = 1e-9) -> bool:
-        if isinstance(x, Infinity) or isinstance(y, Infinity):
-            return any(b.contains(x, y, tol) for b in self.boxes())
-        return bool(self.contains_array(np.array([as_float(x)]), np.array([as_float(y)]), tol)[0])
 
     def to_json(self) -> dict:
         return {
@@ -487,7 +476,6 @@ def verify_connectivity(dom: RectDomain) -> dict:
 
 @dataclass
 class BijectivityReport:
-    pieces: dict
     overlap_cells: int
     uncovered_cells: int
     escaped_cells: int
@@ -513,17 +501,6 @@ class BijectivityReport:
             ],
             "ok": self.ok,
         }
-
-
-def _slab(boxes: list[Box], y_lo: Bound, y_hi: Bound) -> list[Box]:
-    """The non-empty parts of the boxes between heights y_lo and y_hi."""
-    out = []
-    for bx in boxes:
-        lo = bx.y_lo if cmp_bound(bx.y_lo, y_lo) >= 0 else y_lo
-        hi = bx.y_hi if cmp_bound(bx.y_hi, y_hi) <= 0 else y_hi
-        if cmp_bound(lo, hi) < 0:
-            out.append(Box(bx.x_lo, bx.x_hi, lo, hi))
-    return out
 
 
 def _cuts(values: list[Bound]) -> list[Bound]:
@@ -580,25 +557,20 @@ def locking_segments(dom: RectDomain) -> list[tuple[ExtReal, Bound, Bound]]:
 
 
 def verify_bijectivity(dom: RectDomain) -> BijectivityReport:
-    """Cut the components at the canonical heights, map the six pieces by
-    T^-1, S, S, T, S, S, and certify that the images tile the domain."""
+    """Cut the domain along the branches of the map -- below a, on [a, b]
+    and above b -- map the three parts by T, S and T^-1, and certify
+    that the images tile the domain."""
     a, b = dom.params.a, dom.params.b
-    zero = Fraction(0)
-    upper_boxes = dom.upper_boxes()
-    lower_boxes = dom.lower_boxes()
-    pieces = {
-        "U1": (_slab(upper_boxes, b, POS_INF), T_INV),
-        "U2": (_slab(upper_boxes, b - 1, zero), S),
-        "U3": (_slab(upper_boxes, zero, b), S),
-        "L1": (_slab(lower_boxes, NEG_INF, a), T),
-        "L2": (_slab(lower_boxes, zero, a + 1), S),
-        "L3": (_slab(lower_boxes, a, zero), S),
-    }
-    images = [im for boxes, m in pieces.values() for bx in boxes for im in mobius_box_image(m, bx)]
-    domain_boxes = upper_boxes + lower_boxes
+    region = dom.region()
+    branches = (
+        (T, region.clip(NEG_INF, a)),
+        (S, region.clip(a, b)),
+        (T_INV, region.clip(b, POS_INF)),
+    )
+    images = [im for m, part in branches for bx in part.boxes for im in mobius_box_image(m, bx)]
 
-    grid = _grid(domain_boxes + images)
-    domain_cells = Counter(c for bx in domain_boxes for c in _cells(bx, grid))
+    grid = _grid([*region.boxes, *images])
+    domain_cells = Counter(c for bx in region.boxes for c in _cells(bx, grid))
     if any(v > 1 for v in domain_cells.values()):
         raise ConstructionError("domain boxes overlap; staircase is malformed")
     image_cells = Counter(c for bx in images for c in _cells(bx, grid))
@@ -618,7 +590,6 @@ def verify_bijectivity(dom: RectDomain) -> BijectivityReport:
         return tot
 
     report = BijectivityReport(
-        pieces={k: len(v[0]) for k, v in pieces.items()},
         overlap_cells=len(overlap),
         uncovered_cells=len(uncovered),
         escaped_cells=len(escaped),

@@ -96,10 +96,6 @@ class CycleResult:
     upper_orbit: Optional[OrbitRecord] = None
     lower_orbit: Optional[OrbitRecord] = None
 
-    @property
-    def has_cycle(self) -> bool:
-        return self.classification in ("strong", "weak")
-
     def word_names(self) -> str:
         """The cycle word in application order: the upper transport, then
         the inverse of the lower one; T' is T^-1."""
@@ -202,12 +198,6 @@ class TruncatedOrbits:
     finite: bool
     cycle_a: CycleResult
     cycle_b: CycleResult
-
-    def all_lower_values(self) -> list[ExtReal]:
-        return [v for v, _ in self.la] + [v for v, _ in self.lb]
-
-    def all_upper_values(self) -> list[ExtReal]:
-        return [v for v, _ in self.ua] + [v for v, _ in self.ub]
 
 
 def _truncate_side(

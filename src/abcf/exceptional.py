@@ -243,23 +243,6 @@ def base_length(scheme: SubstitutionScheme) -> Scalar:
     return right - left
 
 
-def sigma_word_check(scheme: SubstitutionScheme) -> bool:
-    """f^sigma(b_lo) == b_lo/(b_lo + 1), exactly."""
-    if scheme.sigma is None:
-        return True
-    from .mobius import minus_cf_matrix
-
-    tri = scheme.triangle()
-    if tri.empty:
-        return False
-    b = tri.b_lo
-    # f^sigma = T^{s_k} S ... T^{s_1} S: reversed digit order vs the CF matrix
-    word = minus_cf_matrix(list(reversed(scheme.sigma)))
-    lhs = word.apply(b)
-    rhs = b / (b + 1)
-    return cmp_exact(lhs, rhs) == 0
-
-
 @dataclass
 class Enclosure:
     m: int

@@ -13,13 +13,12 @@ through the dilogarithm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .cf import digit_float, f_hat_step
-from .natext import Box
+from .cf import digit_float
+from .natext import Box, Region
 from .params import Params
 from .scalars import as_float
 
@@ -44,18 +43,9 @@ def simple_case_applies(params: Params) -> bool:
     )
 
 
-@dataclass
-class HatDomain:
-    """The four-box domain of the compactified natural extension."""
-
-    params: Params
-    boxes: list[Box]  # float corners, each of positive area
-
-    def contains(self, x: float, y: float, tol: float = 1e-12) -> bool:
-        return any(b.contains(x, y, tol) for b in self.boxes)
-
-
-def hat_domain(params: Params) -> HatDomain:
+def hat_domain(params: Params) -> Region:
+    """The four-box domain of the compactified natural extension, with
+    float corners; boxes of zero area are dropped."""
     if not simple_case_applies(params):
         raise ValueError("parameters outside the simple four-box case")
     a, b = as_float(params.a), as_float(params.b)
@@ -65,22 +55,11 @@ def hat_domain(params: Params) -> HatDomain:
         Box(b - 1, -1 / a - 1, 0.0, 0.5),
         Box(-1 / a - 1, b, 0.0, 1.0),
     ]
-    return HatDomain(params, [bx for bx in boxes if bx.x_hi > bx.x_lo and bx.y_hi > bx.y_lo])
-
-
-def F_hat_step(p: tuple[float, float], params: Params) -> tuple[float, float]:
-    """(x, y) -> (fhat(x), -1/(y - digit(-1/x))); the fixed point x = 0 is
-    returned unchanged (termination convention, measure zero)."""
-    x, y = p
-    nx, word = f_hat_step(x, params)
-    if word.is_identity_psl():
-        return (x, y)
-    return (nx, -1 / (y + word.a))  # word = T^-n S = (-n -1; 1 0)
+    return Region(tuple(bx for bx in boxes if bx.x_hi > bx.x_lo and bx.y_hi > bx.y_lo))
 
 
 def nu_density(x: float, y: float, params: Params) -> float:
-    dom = hat_domain(params)
-    if not dom.contains(x, y):
+    if not hat_domain(params).contains(x, y, 1e-12):
         return 0.0
     return 1.0 / (norm_const(params) * (1.0 + x * y) ** 2)
 
@@ -136,12 +115,7 @@ def _mu_cdf(x: float, terms: list, C: float) -> float:
     return total / C
 
 
-def nu_y_cdf(y: float, params: Params) -> float:
-    """Distribution function of the y-marginal of the 2D density."""
-    return _nu_y_cdf(y, hat_domain(params).boxes, norm_const(params))
-
-
-def _nu_y_cdf(y: float, boxes: list[Box], C: float) -> float:
+def _nu_y_cdf(y: float, boxes: tuple[Box, ...], C: float) -> float:
     total = 0.0
     for b in boxes:
         yy = min(max(y, b.y_lo), b.y_hi)
@@ -153,7 +127,7 @@ def _nu_y_cdf(y: float, boxes: list[Box], C: float) -> float:
 # -- sampling and the invariance statistic --------------------------------
 
 
-def _box_uniforms(rng: np.random.Generator, boxes: list[Box], cdf: np.ndarray, m: int):
+def _box_uniforms(rng: np.random.Generator, boxes: tuple[Box, ...], cdf: np.ndarray, m: int):
     """m points, each uniform in a box drawn from the distribution cdf.
 
     The stream is that of rng.choice(len(boxes), m, p=...) -- one

@@ -67,13 +67,16 @@ class Box:
     y_hi: Bound
 
     def contains(self, x: ExtReal, y: ExtReal, tol: float = 0.0) -> bool:
-        """Closed membership, widened by tol; the unsigned infinity lies in
-        the box iff the box is unbounded on that axis."""
+        """Closed membership, widened by tol; an exact point with tol = 0
+        is compared exactly.  The unsigned infinity lies in the box iff the
+        box is unbounded on that axis."""
 
         def on_axis(v: ExtReal, lo: Bound, hi: Bound) -> bool:
             if isinstance(v, Infinity):
                 return lo is NEG_INF or hi is POS_INF
-            return as_float(lo) - tol <= as_float(v) <= as_float(hi) + tol
+            if tol or isinstance(v, float):
+                return as_float(lo) - tol <= as_float(v) <= as_float(hi) + tol
+            return cmp_bound(lo, v) <= 0 <= cmp_bound(hi, v)
 
         return on_axis(x, self.x_lo, self.x_hi) and on_axis(y, self.y_lo, self.y_hi)
 
@@ -81,23 +84,29 @@ class Box:
         return as_float(self.x_lo), as_float(self.x_hi), as_float(self.y_lo), as_float(self.y_hi)
 
 
-@dataclass
-class TrapRegion:
-    upper: list[Box]
-    lower: list[Box]
-    case_upper: str = ""
-    case_lower: str = ""
+@dataclass(frozen=True)
+class Region:
+    """A finite union of closed boxes."""
 
-    @property
-    def boxes(self) -> list[Box]:
-        return self.upper + self.lower
+    boxes: tuple[Box, ...]
 
     def contains(self, x: ExtReal, y: ExtReal, tol: float = 0.0) -> bool:
         return any(b.contains(x, y, tol) for b in self.boxes)
 
+    def clip(self, y_lo: Bound, y_hi: Bound) -> "Region":
+        """The non-empty parts of the boxes between heights y_lo and y_hi."""
+        out = []
+        for bx in self.boxes:
+            lo = bx.y_lo if cmp_bound(bx.y_lo, y_lo) >= 0 else y_lo
+            hi = bx.y_hi if cmp_bound(bx.y_hi, y_hi) <= 0 else y_hi
+            if cmp_bound(lo, hi) < 0:
+                out.append(Box(bx.x_lo, bx.x_hi, lo, hi))
+        return Region(tuple(out))
 
-def trapping_region(params: Params) -> TrapRegion:
-    """The forward-invariant region every off-diagonal point enters.
+
+def trapping_region(params: Params) -> Region:
+    """The forward-invariant region every off-diagonal point enters: the
+    boxes above the diagonal, then those below it.
 
     Case analysis on the parameters; the three degenerate pairs get their
     explicit regions (which there coincide with the attractor).
@@ -105,26 +114,20 @@ def trapping_region(params: Params) -> TrapRegion:
     a, b = params.a, params.b
     one = Fraction(1)
     if params.is_a0:
-        return TrapRegion(
-            upper=[],
-            lower=[
+        return Region(
+            (
                 Box(-one, Fraction(0), NEG_INF, -one),
                 Box(Fraction(0), one, NEG_INF, Fraction(0)),
                 Box(one, POS_INF, NEG_INF, one),
-            ],
-            case_upper="a=0",
-            case_lower="a=0",
+            )
         )
     if params.is_b0:
-        return TrapRegion(
-            upper=[
+        return Region(
+            (
                 Box(NEG_INF, -one, -one, POS_INF),
                 Box(-one, Fraction(0), Fraction(0), POS_INF),
                 Box(Fraction(0), one, one, POS_INF),
-            ],
-            lower=[],
-            case_upper="b=0",
-            case_lower="b=0",
+            )
         )
 
     if params.cmp(b, 1) >= 0:
@@ -132,7 +135,6 @@ def trapping_region(params: Params) -> TrapRegion:
             Box(NEG_INF, -one, b - 1, POS_INF),
             Box(-one, Fraction(0), -1 / a, POS_INF),
         ]
-        case_u = "b>=1"
     else:
         c1, c2 = -b / (b - 1), -1 / a
         corner = c1 if params.cmp(c1, c2) <= 0 else c2
@@ -141,14 +143,12 @@ def trapping_region(params: Params) -> TrapRegion:
             Box(-one, Fraction(0), corner, POS_INF),
             Box(Fraction(0), one, -1 / (b - 1), POS_INF),
         ]
-        case_u = "0<b<1"
 
     if params.cmp(a, -1) <= 0:
         lower = [
             Box(Fraction(0), one, NEG_INF, -1 / b),
             Box(one, POS_INF, NEG_INF, a + 1),
         ]
-        case_l = "a<=-1"
     else:
         c1, c2 = a / (a + 1), -1 / b
         corner = c1 if params.cmp(c1, c2) >= 0 else c2
@@ -157,18 +157,13 @@ def trapping_region(params: Params) -> TrapRegion:
             Box(Fraction(0), one, NEG_INF, corner),
             Box(one, POS_INF, NEG_INF, a + 1),
         ]
-        case_l = "a>-1"
-    return TrapRegion(upper=upper, lower=lower, case_upper=case_u, case_lower=case_l)
+    return Region(tuple(upper + lower))
 
 
 @dataclass
 class TrapResult:
     steps: Optional[int]
     final: tuple[ExtReal, ExtReal]
-
-    @property
-    def trapped(self) -> bool:
-        return self.steps is not None
 
 
 def time_to_trap(

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -80,10 +81,10 @@ def test_level_multiset_identity():
     for p in interior_rational_params(rng, 8):
         dom = build_attractor(p)
         tro = truncated_orbits(p)
-        assert sorted(map(as_float, tro.all_lower_values())) == [
+        assert sorted(as_float(v) for v, _ in tro.la + tro.lb) == [
             as_float(s.y) for s in dom.lower
         ]
-        assert sorted(map(as_float, tro.all_upper_values())) == [
+        assert sorted(as_float(v) for v, _ in tro.ua + tro.ub) == [
             as_float(s.y) for s in dom.upper
         ]
 
@@ -142,16 +143,28 @@ def test_bijectivity_locking_segments():
     assert rep.ok
 
 
-def test_bijectivity_reports_a_corrupted_domain():
-    # negative control: moving one lower corner right leaves part of the
-    # domain outside every image and sends part of one image outside it
+@pytest.mark.parametrize(
+    "i, shift, cells, overlap_measure, uncovered_measure",
+    [
+        # negative controls: moving a lower corner right leaves part of the
+        # domain outside every image and sends part of one image outside it
+        (2, Fraction(1, 100), (0, 2, 1), 0.0, 0.001138952287131123),
+        # moving one left also makes two images overlap
+        (3, -Fraction(1, 100), (2, 2, 2), 0.000430200049654883, 0.0011467891165065636),
+    ],
+    ids=["gap", "overlap"],
+)
+def test_bijectivity_reports_a_corrupted_domain(
+    i, shift, cells, overlap_measure, uncovered_measure
+):
     dom = build_attractor(Z)
-    s = dom.lower[2]
-    dom.lower[2] = dataclasses.replace(s, x_lo=s.x_lo + Fraction(1, 100))
+    s = dom.lower[i]
+    dom.lower[i] = dataclasses.replace(s, x_lo=s.x_lo + shift)
     rep = verify_bijectivity(dom)
     assert not rep.ok
-    assert (rep.overlap_cells, rep.uncovered_cells, rep.escaped_cells) == (0, 2, 1)
-    assert rep.uncovered_measure > 0
+    assert (rep.overlap_cells, rep.uncovered_cells, rep.escaped_cells) == cells
+    assert rep.overlap_measure == pytest.approx(overlap_measure, rel=1e-12, abs=0.0)
+    assert rep.uncovered_measure == pytest.approx(uncovered_measure, rel=1e-12)
 
 
 def test_boundary_absorption_strong_cycles():
@@ -294,3 +307,41 @@ def test_reduction_scan_weak_cycle_pair():
     dom = build_attractor(Params.make("-1/2", "1/2"))
     rep = reduction_scan(dom, grid=40, cap=2_000)
     assert 0.99 <= rep.coverage <= 1.0
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        ("-1", "1"),
+        ("-1/2", "1/2"),
+        ("-7/10", "4/5"),
+        ("-4/5", "2/5"),
+        ("-3/4", "4/7"),
+        ("-6/5", "1/3"),
+        ("-5/6", "3/5"),
+        ("-16/17", "1/17"),
+        ("-30/31", "1/31"),
+        ("-1", "0"),
+        ("0", "3/2"),
+    ],
+)
+def test_float_kernel_matches_exact_boxes(pair):
+    # contains_array's staircase search and the box list of region() are two
+    # descriptions of one set; points near a box side are left out, where
+    # the float kernel may round either way
+    dom = build_attractor(Params.make(*pair))
+    region = dom.region()
+    rng = np.random.default_rng(41)
+    xs, ys = rng.uniform(-6, 6, (2, 600))
+    sides = [as_float(v) for bx in region.boxes for v in (bx.x_lo, bx.x_hi, bx.y_lo, bx.y_hi)]
+    sides = np.array([v for v in sides if math.isfinite(v)])
+
+    def near_side(v):
+        return (np.abs(v[:, None] - sides) <= 1e-8).any(axis=1)
+
+    keep = ~(near_side(xs) | near_side(ys))
+    xs, ys = xs[keep], ys[keep]
+    assert len(xs) > 500
+    want = [region.contains(x, y) for x, y in zip(xs, ys)]
+    assert dom.contains_array(xs, ys, 0).tolist() == want
+    assert 0 < sum(want) < len(want)

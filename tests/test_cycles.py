@@ -66,7 +66,7 @@ def test_lockstep_meeting_values_equal():
     rng = np.random.default_rng(2)
     for p in interior_rational_params(rng, 15):
         res = detect_cycle(p, "b")
-        if res.has_cycle:
+        if res.classification in ("strong", "weak"):
             assert res.end_word_upper.apply(p.b) == res.end
             assert res.end_word_lower.apply(p.b) == res.end
 
@@ -76,7 +76,7 @@ def test_no_repeats_within_sides():
     for p in interior_rational_params(rng, 15):
         for which in ("a", "b"):
             res = detect_cycle(p, which)
-            if res.has_cycle:
+            if res.classification in ("strong", "weak"):
                 assert len(set(res.upper_side)) == len(res.upper_side)
                 assert len(set(res.lower_side)) == len(res.lower_side)
 
@@ -86,7 +86,7 @@ def test_weak_iff_end_zero():
     for p in interior_rational_params(rng, 25):
         for which in ("a", "b"):
             res = detect_cycle(p, which)
-            if res.has_cycle:
+            if res.classification in ("strong", "weak"):
                 assert (res.classification == "weak") == (res.end == 0)
 
 
@@ -112,7 +112,7 @@ def test_symmetry_mirror():
         rb = detect_cycle(p, "b")
         ra = detect_cycle(p.mirrored(), "a")
         assert rb.classification == ra.classification
-        if rb.has_cycle:
+        if rb.classification in ("strong", "weak"):
             assert ra.end == -rb.end
             # mirroring swaps the upper/lower sides of the cycle
             assert (ra.upper_steps, ra.lower_steps) == (rb.lower_steps, rb.upper_steps)
@@ -139,8 +139,8 @@ def test_shift_consequence_flags_agree():
     for p in interior_rational_params(rng, 15):
         tro = truncated_orbits(p)
         assert tro.finite
-        assert bool(tro.la) == bool(tro.ua) or tro.cycle_a.has_cycle
-        assert bool(tro.lb) == bool(tro.ub) or tro.cycle_b.has_cycle
+        assert bool(tro.la) == bool(tro.ua) or tro.cycle_a.classification in ("strong", "weak")
+        assert bool(tro.lb) == bool(tro.ub) or tro.cycle_b.classification in ("strong", "weak")
 
 
 def test_finiteness_interior_rationals():

@@ -11,11 +11,11 @@ from abcf.exceptional import (
     exceptional_b,
     parse_plan,
     run_plan,
-    sigma_word_check,
     substitution_step,
     triangle_region,
     vertex_value,
 )
+from abcf.mobius import minus_cf_matrix
 from abcf.params import Params
 from abcf.scalars import Surd, as_float, bounds, cmp_exact
 
@@ -106,7 +106,12 @@ def test_admissible_prefix_all_prefixes_nonempty():
 def test_sigma_equation_all_generations():
     plan = [("case1", 2), ("case2", 1), ("case1", 2), ("case2", 2), ("case1", 3)]
     for sch in run_plan(3, plan)[1:]:
-        assert sigma_word_check(sch)
+        # f^sigma(b_lo) == b_lo/(b_lo + 1), exactly
+        tri = sch.triangle()
+        assert not tri.empty
+        # f^sigma = T^{s_k} S ... T^{s_1} S: reversed digit order vs the CF matrix
+        word = minus_cf_matrix(list(reversed(sch.sigma)))
+        assert cmp_exact(word.apply(tri.b_lo), tri.b_lo / (tri.b_lo + 1)) == 0
 
 
 def test_lexicographic_value_order():

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import dblquad, quad
 
 from abcf.attractor import build_attractor
-from abcf.cf import digit_float
+from abcf.cf import digit_float, f_hat_step
 from abcf.measures import (
     _digit_array,
     _li2,
@@ -338,7 +338,14 @@ def test_outside_simple_case_rejected():
 
 
 def test_F_hat_step_scalar_exact():
-    from abcf.measures import F_hat_step
+    def F_hat_step(p, params):
+        """(x, y) -> (fhat(x), -1/(y - digit(-1/x))); the fixed point x = 0
+        is returned unchanged (termination convention, measure zero)."""
+        x, y = p
+        nx, word = f_hat_step(x, params)
+        if word.is_identity_psl():
+            return (x, y)
+        return (nx, -1 / (y + word.a))  # word = T^-n S = (-n -1; 1 0)
 
     x, y = F_hat_step((Fraction(1, 2), Fraction(0)), SIMPLE)
     assert (x, y) == (0, Fraction(-1, 2))

@@ -51,20 +51,27 @@ def test_F_step_rejects_diagonal():
         F_step((Fraction(1, 3), Fraction(1, 3)), Z)
 
 
+def _upper(theta):
+    return [b for b in theta.boxes if b.y_hi is POS_INF]
+
+
+def _lower(theta):
+    return [b for b in theta.boxes if b.y_lo is NEG_INF]
+
+
 def test_trapping_region_cases():
     theta = trapping_region(Z)  # 0 < b < 1, a > -1
-    assert theta.case_upper == "0<b<1" and theta.case_lower == "a>-1"
-    ys = {(as_float(b.y_lo) if b.y_lo is not NEG_INF else None) for b in theta.upper}
-    assert as_float(Fraction(5, 3)) in {as_float(b.y_lo) for b in theta.upper}
-    assert as_float(Fraction(2, 3)) in {as_float(b.y_lo) for b in theta.upper}  # min(2/3, 5/4)
-    lows = {as_float(b.y_hi) for b in theta.lower}
+    assert len(_upper(theta)) == 3 and len(_lower(theta)) == 3
+    assert as_float(Fraction(5, 3)) in {as_float(b.y_lo) for b in _upper(theta)}
+    assert as_float(Fraction(2, 3)) in {as_float(b.y_lo) for b in _upper(theta)}  # min(2/3, 5/4)
+    lows = {as_float(b.y_hi) for b in _lower(theta)}
     assert -5.0 in lows and -2.5 in lows  # -1/(a+1) and max(a/(a+1), -1/b)
 
 
 def test_trapping_region_degenerate_a0():
     theta = trapping_region(Params.make("0", "3/2"))
-    assert theta.upper == []
-    got = {(b.floats()) for b in theta.lower}
+    assert _upper(theta) == []
+    got = {(b.floats()) for b in _lower(theta)}
     want = {
         (-1.0, 0.0, -np.inf, -1.0),
         (0.0, 1.0, -np.inf, 0.0),
@@ -128,7 +135,7 @@ def test_time_to_trap():
     assert time_to_trap((Fraction(5), Fraction(-5)), p).steps == 0
     assert F_step((Fraction(5), Fraction(-5)), p) == (6, -4)
     res = time_to_trap((Fraction(-5), Fraction(-11, 2)), p, cap=100)
-    assert res.trapped and res.steps == 6  # translate until y >= a, then S
+    assert res.steps == 6  # translate until y >= a, then S
 
 
 def test_time_to_trap_statistical():
@@ -141,7 +148,7 @@ def test_time_to_trap_statistical():
         if x == y:
             continue
         res = time_to_trap((x, y), p, cap=10_000)
-        assert res.trapped
+        assert res.steps is not None
         times.append(res.steps)
     assert max(times) < 200
 
@@ -283,8 +290,7 @@ def test_rho_consistency_with_F():
 
 def test_trapping_region_b_ge_1_case():
     theta = trapping_region(Params.make("-1/2", "3/2"))
-    assert theta.case_upper == "b>=1"
-    got = sorted(b.floats() for b in theta.upper)
+    got = sorted(b.floats() for b in _upper(theta))
     assert got == [(-np.inf, -1.0, 0.5, np.inf), (-1.0, 0.0, 2.0, np.inf)]
 
 
@@ -292,5 +298,14 @@ def test_time_to_trap_failure_carries_final():
     p = Params.make("-4/5", "2/5")
     assert time_to_trap((Fraction(5), Fraction(3)), p, cap=100).steps == 3
     res = time_to_trap((Fraction(5), Fraction(3)), p, cap=2)
-    assert not res.trapped and res.steps is None
+    assert res.steps is None
     assert res.final == (Fraction(3), Fraction(1))  # the capped iterate
+
+
+def test_time_to_trap_decides_exact_points_exactly():
+    # the point lies 1e-30 below the box (-oo, -1] x [b - 1, +oo) of the
+    # trapping region: outside exactly, although its float is on the edge
+    below = (Fraction(-2), Fraction(-3, 5) - Fraction(1, 10**30))
+    assert not trapping_region(Z).contains(*below)
+    assert time_to_trap(below, Z).steps == 3
+    assert time_to_trap((Fraction(-2), Fraction(-3, 5)), Z).steps == 0
