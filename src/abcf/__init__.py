@@ -47,7 +47,6 @@ from .measures import (
     invariance_check,
     mu_density,
     nu_density,
-    simple_case_applies,
 )
 from .mobius import Mobius, NonHyperbolicError, S, T, T_INV
 from .natext import (

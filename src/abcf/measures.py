@@ -1,61 +1,64 @@
 """Invariant measures and entropy for the Gauss-like first-return map.
 
-Covers the parameter region where 1 <= -1/a <= b+1 and a-1 <= -1/b <= -1.
-There the compactified natural-extension domain is a union of four boxes,
-the two-dimensional invariant density is 1/(C (1+xy)^2) with
-C = log[(1+b)(1-a)], its x-marginal is an explicit sum of four
-1/(linear) terms, and the entropy of the one-dimensional map is
-pi^2/(3 C) - checked independently through Rokhlin's formula
-h = -2 int log|x| dmu, which integrates term by term in closed form
-through the dilogarithm.
+The attractor D that build_attractor computes, clipped to the strip
+a <= y <= b where the reduction map applies S, is a union of boxes
+half-infinite in x: (-oo, X] x [y0, y1] with X <= -1 above the diagonal,
+[X, +oo) x [y0, y1] with X >= 1 below it.  In the coordinates
+(x, y) -> (y, -1/x) of the first-return map these become [y0, y1] x
+[0, -1/X] and [y0, y1] x [-1/X, 0], the invariant measure du dw/(w - u)^2
+of D becomes the density 1/(K (1+xy)^2), and its x-marginal is the sum
+over boxes of 1/|x - X| on [y0, y1], divided by its mass K.  Abramov's
+formula gives the entropy of the one-dimensional map as pi^2/(3 K);
+Rokhlin's formula h = -2 int log|x| dmu checks it independently and
+integrates term by term in closed form through the dilogarithm.  Where
+the strip has the four boxes of the simple case, K = log[(1+b)(1-a)].
+When a = 0 or b = 0 a box ends on its own pole and the measure is
+infinite.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
 import numpy as np
 
+from .attractor import build_attractor
 from .cf import digit_float
 from .natext import Box, Region
 from .params import Params
-from .scalars import as_float
+from .scalars import POS_INF, as_float
+
+
+@functools.lru_cache(maxsize=64)
+def _gauss_domain(params: Params) -> tuple[Region, tuple[tuple[float, float, float], ...], float]:
+    """The strip's boxes in Gauss-map coordinates, those of the lower
+    component (y <= 0) first, each part by ascending x; the x-marginal's
+    terms (y0, y1, -X) in the same order; and their mass K."""
+    if params.is_a0 or params.is_b0:
+        raise ValueError("the invariant measure is infinite when a = 0 or b = 0")
+    strip = build_attractor(params).region().clip(params.a, params.b).boxes
+    boxes, terms = [], []
+    for bx in sorted(strip, key=lambda bx: bx.x_hi is not POS_INF):  # keeps each part's order
+        below = bx.x_hi is POS_INF
+        X = bx.x_lo if below else bx.x_hi
+        y0, y1, h = as_float(bx.y_lo), as_float(bx.y_hi), as_float(-1 / X)
+        boxes.append(Box(y0, y1, h, 0.0) if below else Box(y0, y1, 0.0, h))
+        terms.append((y0, y1, -as_float(X)))
+    terms = tuple(terms)
+    return Region(tuple(boxes)), terms, _mu_cdf(math.inf, terms, 1.0)
 
 
 def norm_const(params: Params) -> float:
-    """C = log[(1+b)(1-a)], the normalization of the invariant densities."""
-    return math.log((1 + as_float(params.b)) * (1 - as_float(params.a)))
-
-
-def simple_case_applies(params: Params) -> bool:
-    """1 <= -1/a <= b+1 and a-1 <= -1/b <= -1 (false when a or b is 0)."""
-    if params.is_a0 or params.is_b0:
-        return False
-    a, b = params.a, params.b
-    sa = -1 / a
-    sb = -1 / b
-    return (
-        params.cmp_num(sa, 1) >= 0
-        and params.cmp_num(sa, b + 1) <= 0
-        and params.cmp_num(sb, a - 1) >= 0
-        and params.cmp_num(sb, -1) <= 0
-    )
+    """K, the invariant measure of the attractor's strip: the normalization
+    of the invariant densities."""
+    return _gauss_domain(params)[2]
 
 
 def hat_domain(params: Params) -> Region:
-    """The four-box domain of the compactified natural extension, with
-    float corners; boxes of zero area are dropped."""
-    if not simple_case_applies(params):
-        raise ValueError("parameters outside the simple four-box case")
-    a, b = as_float(params.a), as_float(params.b)
-    boxes = [
-        Box(a, -1 / b + 1, -1.0, 0.0),
-        Box(-1 / b + 1, a + 1, -0.5, 0.0),
-        Box(b - 1, -1 / a - 1, 0.0, 0.5),
-        Box(-1 / a - 1, b, 0.0, 1.0),
-    ]
-    return Region(tuple(bx for bx in boxes if bx.x_hi > bx.x_lo and bx.y_hi > bx.y_lo))
+    """The domain of the Gauss-map natural extension, with float corners."""
+    return _gauss_domain(params)[0]
 
 
 def nu_density(x: float, y: float, params: Params) -> float:
@@ -64,16 +67,10 @@ def nu_density(x: float, y: float, params: Params) -> float:
     return 1.0 / (norm_const(params) * (1.0 + x * y) ** 2)
 
 
-def _mu_terms(params: Params) -> list[tuple[float, float, float]]:
+def _mu_terms(params: Params) -> tuple[tuple[float, float, float], ...]:
     """(lo, hi, c) of the x-marginal's terms: the weight 1/|x + c| on
     [lo, hi], where x + c has the sign of c."""
-    a, b = as_float(params.a), as_float(params.b)
-    return [
-        (a, -1 / b + 1, -1.0),
-        (-1 / b + 1, a + 1, -2.0),
-        (b - 1, -1 / a - 1, 2.0),
-        (-1 / a - 1, b, 1.0),
-    ]
+    return _gauss_domain(params)[1]
 
 
 def mu_density(x: float, params: Params) -> float:
@@ -106,7 +103,7 @@ def mu_cdf(x: float, params: Params) -> float:
     return _mu_cdf(x, _mu_terms(params), norm_const(params))
 
 
-def _mu_cdf(x: float, terms: list, C: float) -> float:
+def _mu_cdf(x: float, terms: tuple, C: float) -> float:
     total = 0.0
     for lo, hi, c in terms:
         u = min(max(x, lo), hi)
@@ -134,7 +131,7 @@ def _box_uniforms(rng: np.random.Generator, boxes: tuple[Box, ...], cdf: np.ndar
     random(m) searched in cdf -- then uniform x and y draws for every point
     of box 0, of box 1, ...; no pass over the m points is made per box.
     """
-    picks = (rng.random(m) >= cdf[:-1, None]).sum(0, dtype=np.int8)
+    picks = (rng.random(m) >= cdf[:-1, None]).sum(0, dtype=np.min_scalar_type(len(boxes)))
     ends = np.bincount(picks, minlength=len(boxes)).cumsum()
     order = np.argsort(picks, kind="stable")  # each box's indices, ascending
     xs, ys = np.empty(m), np.empty(m)
@@ -205,8 +202,8 @@ def invariance_check(params: Params, n_points: int, seed: int) -> float:
         return float("nan")
     pts = sample_nu(params, n_points, seed)
     xs, ys = F_hat_array(pts[:, 0], pts[:, 1], params)
-    terms, boxes, C = _mu_terms(params), hat_domain(params).boxes, norm_const(params)
-    return max(_ks(xs, lambda v: _mu_cdf(v, terms, C)), _ks(ys, lambda v: _nu_y_cdf(v, boxes, C)))
+    dom, terms, C = _gauss_domain(params)
+    return max(_ks(xs, lambda v: _mu_cdf(v, terms, C)), _ks(ys, lambda v: _nu_y_cdf(v, dom.boxes, C)))
 
 
 #: points of the grid on which the KS statistic compares distribution functions

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -120,13 +121,29 @@ def test_bad_eps_is_a_usage_error(capsys):
         assert captured.out == "" and "eps must be finite and >= 0" in captured.err
 
 
-def test_measures_outside_simple_case(capsys):
-    code = main(["measures", "--a", "-4/5", "--b", "2/5"])
-    assert code == 1
-    assert json.loads(capsys.readouterr().out) == {
-        "error": "ValueError",
-        "message": "parameters outside the simple four-box case",
-    }
+@pytest.mark.parametrize("ab,status,error", [
+    (("-1", "0"), 1, "ValueError"),
+    (("0", "1"), 1, "ValueError"),
+    (("0", "3/2"), 1, "ValueError"),
+    (("-0.7", "0.8"), 2, "ConstructionError"),
+], ids=["-1,0", "0,1", "0,3/2", "-0.7,0.8"])
+def test_measures_rejects_infinite_and_float_pairs(ab, status, error, capsys):
+    code = main(["measures", "--a", ab[0], "--b", ab[1], "--n-points", "1000"])
+    assert code == status
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == error
+    if status == 1:
+        assert payload["message"] == "the invariant measure is infinite when a = 0 or b = 0"
+
+
+@pytest.mark.parametrize("ab", [("-4/5", "2/5"), ("-1/2", "1/2"), ("-16/17", "1/17")], ids=",".join)
+def test_measures_off_the_simple_case(ab, capsys):
+    code, out = run_cli(["measures", "--a", ab[0], "--b", ab[1], "--n-points", "20000"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert abs(payload["nu_mass"] - 1) <= 1e-12 and abs(payload["mu_mass"] - 1) <= 1e-12
+    assert abs(payload["h_closed"] - payload["h_rokhlin"]) <= 1e-12
+    assert abs(payload["h_closed"] - math.pi**2 / (3 * payload["C"])) <= 1e-12
 
 
 def test_config_echo_reproduces(tmp_path):

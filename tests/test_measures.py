@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
+from abcf import measures
 from abcf.attractor import build_attractor
 from abcf.cf import digit_float, f_hat_step
 from abcf.measures import (
+    _box_uniforms,
     _digit_array,
     _li2,
     _mu_terms,
@@ -18,16 +20,18 @@ from abcf.measures import (
     entropy_rokhlin,
     hat_domain,
     invariance_check,
+    measures_report,
     mu_cdf,
     mu_density,
     mu_mass,
     nu_density,
+    norm_const,
     nu_mass,
     rokhlin_integral,
     sample_nu,
-    simple_case_applies,
 )
-from abcf.params import Params
+from abcf.natext import Box
+from abcf.params import ParamError, Params
 from abcf.scalars import as_float
 
 
@@ -35,12 +39,57 @@ SIMPLE = Params.make("-7/10", "4/5")
 M11 = Params.make("-1", "1")
 
 
-def test_simple_case_predicate():
+def simple_case_applies(params: Params) -> bool:
+    """1 <= -1/a <= b+1 and a-1 <= -1/b <= -1 (false when a or b is 0): the
+    pairs whose strip has the four boxes of the closed form log[(1+b)(1-a)]."""
+    if params.is_a0 or params.is_b0:
+        return False
+    a, b = params.a, params.b
+    sa = -1 / a
+    sb = -1 / b
+    return (
+        params.cmp_num(sa, 1) >= 0
+        and params.cmp_num(sa, b + 1) <= 0
+        and params.cmp_num(sb, a - 1) >= 0
+        and params.cmp_num(sb, -1) <= 0
+    )
+
+
+def _small_pairs(max_den: int) -> list[Params]:
+    """Every pair of P with a, b != 0 whose entries have denominators <= max_den."""
+    vals = sorted({Fraction(n, d) for d in range(1, max_den + 1) for n in range(1, max_den * d + 1)})
+    out = []
+    for a in vals:
+        for b in vals:
+            try:
+                out.append(Params(-a, b))
+            except ParamError:
+                continue
+    return out
+
+
+SMALL_PAIRS = _small_pairs(6)
+
+
+def test_rokhlin_integral_on_every_small_pair():
+    assert len(SMALL_PAIRS) == 531
+    for p in SMALL_PAIRS:
+        assert abs(rokhlin_integral(p) + math.pi**2 / 6) <= 1e-12, (p.a, p.b)
+
+
+def test_norm_const_is_the_closed_form_on_simple_pairs():
     assert simple_case_applies(SIMPLE)
     assert simple_case_applies(M11)  # boundary equalities allowed
     assert not simple_case_applies(Params.make("-4/5", "2/5"))
     assert not simple_case_applies(Params.make("0", "3/2"))
     assert not simple_case_applies(Params.make("-1", "0"))
+    simple = [p for p in SMALL_PAIRS if simple_case_applies(p)]
+    assert len(simple) == 37
+    for p in simple:
+        closed = math.log((1 + as_float(p.b)) * (1 - as_float(p.a)))
+        assert abs(norm_const(p) - closed) <= 1e-12, (p.a, p.b)
+    # off the simple case the strip's measure is not the closed form 0.9243
+    assert abs(norm_const(Params.make("-4/5", "2/5")) - 1.0296) < 1e-4
 
 
 def test_hat_domain_boxes():
@@ -130,7 +179,7 @@ def test_invariance_check_is_pinned():
     pinned = [
         (("-7/10", "4/5"), 4, 0.00748016934668938),
         (("-1", "1/2"), 9, 0.004491636640809038),
-        (("-3/5", "3/4"), 2, 0.006415995186358825),
+        (("-3/5", "3/4"), 2, 0.006415995186359047),
     ]
     for ab, seed, want in pinned:
         assert invariance_check(Params.make(*ab), 20_000, seed) == want
@@ -332,9 +381,55 @@ def test_birkhoff_average_surd_pair():
     assert math.isfinite(avg) and 0.0 < avg <= 1.0
 
 
-def test_outside_simple_case_rejected():
-    with pytest.raises(ValueError):
-        hat_domain(Params.make("-4/5", "2/5"))
+@pytest.mark.parametrize("ab", [("-1", "0"), ("0", "1"), ("0", "3/2")], ids=",".join)
+def test_infinite_measure_rejected(ab):
+    with pytest.raises(ValueError, match="infinite"):
+        hat_domain(Params.make(*ab))
+
+
+#: pairs off the simple case, whose strips have 5, 4 and 19 boxes; the
+#: last is the boundary-line pair (1/k - 1, 1/k) with k = 17
+GENERAL_PAIRS = [Params.make("-4/5", "2/5"), Params.make("-1/2", "1/2"), Params.make("-16/17", "1/17")]
+
+
+@pytest.mark.parametrize("p", GENERAL_PAIRS, ids=lambda p: f"{p.a},{p.b}")
+def test_measures_off_the_simple_case(p):
+    assert not simple_case_applies(p)
+    assert abs(nu_mass(p) - 1) <= 1e-12
+    assert abs(mu_mass(p) - 1) <= 1e-12
+    assert abs(entropy_rokhlin(p) - entropy_closed(p)) <= 1e-12
+    assert invariance_check(p, 1_000_000, seed=7) <= 3e-3
+
+
+@pytest.mark.parametrize("p", GENERAL_PAIRS, ids=lambda p: f"{p.a},{p.b}")
+def test_birkhoff_entropy_off_the_simple_case(p):
+    # on seeds 1-12 the largest miss of the three pairs was 0.0066
+    avg = birkhoff_average(p, lambda xs: -2.0 * np.log(np.abs(xs)), 1_000_000, seed=1)
+    assert abs(avg - entropy_closed(p)) < 1e-2
+
+
+def test_box_picks_past_the_int8_range():
+    # one box per unit of x, so a point's box is the floor of its x
+    rng = np.random.default_rng(2)
+    weights = rng.uniform(0.5, 1.5, 300)
+    weights /= weights.sum()
+    boxes = tuple(Box(float(i), i + 0.5, 0.0, 1.0) for i in range(300))
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    xs, _ = _box_uniforms(np.random.default_rng(5), boxes, cdf, 20_000)
+    want = np.random.default_rng(5).choice(300, 20_000, p=weights)
+    assert np.floor(xs).astype(np.int64).tolist() == want.tolist()
+
+
+def test_domain_is_built_once_per_pair(monkeypatch):
+    calls = []
+    real = measures.build_attractor
+    monkeypatch.setattr(measures, "build_attractor", lambda p: calls.append(p) or real(p))
+    p = Params.make("-5/7", "3/4")  # a pair no other test builds
+    measures_report(p, 1000, seed=1)
+    for x in np.linspace(-0.7, 0.7, 1000):
+        nu_density(float(x), 0.1, p)
+    assert len(calls) == 1
 
 
 def test_F_hat_step_scalar_exact():
