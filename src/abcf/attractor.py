@@ -9,12 +9,14 @@ glues the segment at Sb to the next level above and the segment at Sa
 to the next level below.  Everything here is exact: corners come out as
 rationals or quadratic surds, adjacency of segments is checked by exact
 comparison, and the bijectivity of the reduction map on the domain is
-certified by an exact box-tiling argument.
+certified by an exact sweep over the y-cuts of the domain and its images:
+in every band between two consecutive cuts the images' x-intervals must
+chain exactly across the domain's (at most two half-lines).  Only when a
+band fails is the exact cell grid built, to count and measure the defects.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from collections import Counter
@@ -44,8 +46,10 @@ from .scalars import (
     Bound,
     ExtReal,
     Infinity,
+    Surd,
     as_float,
     cmp_bound,
+    cmp_exact,
     format_scalar,
     is_exact,
 )
@@ -55,8 +59,25 @@ class ConstructionError(RuntimeError):
     """The finite-rectangular construction failed; carries diagnostics."""
 
 
-#: sort key for exact bounds, the sentinels included
-_BOUND_KEY = functools.cmp_to_key(cmp_bound)
+def _fkey(v: Bound) -> float:
+    """A float near the bound that depends only on its exact value: a surd
+    (p + q sqrt d)/r is keyed by the correctly rounded p/r and q^2 d/r^2,
+    which do not depend on the square factors d keeps.  An overflow gives
+    the signed infinity."""
+    try:
+        if isinstance(v, Surd):
+            return v.p / v.r + math.copysign(math.sqrt(v.q * v.q * v.d / (v.r * v.r)), v.q)
+        return as_float(v)
+    except OverflowError:
+        return math.copysign(math.inf, cmp_exact(v, 0))
+
+
+def _exact_sorted(items, fkey, cmp) -> list:
+    """sorted(items, key=cmp_to_key(cmp)), element for element.  The stable
+    presort by fkey, which gives equal floats to cmp-equal items, keeps
+    their input order and leaves the exact sort nearly sorted input, which
+    it orders in about len(items) comparisons."""
+    return sorted(sorted(items, key=fkey), key=functools.cmp_to_key(cmp))
 
 
 Chain = Literal["La", "Lb", "Ua", "Ub"]
@@ -217,7 +238,8 @@ def _sorted_steps(entries: list[LevelEntry], x_a: ExtReal, x_b: ExtReal) -> list
     def cmp(s1: Step, s2: Step) -> int:
         return cmp_bound(s1.y, s2.y) or cmp_bound(s1.x_lo, s2.x_lo)
 
-    return sorted((_segment(e, x_a, x_b) for e in entries), key=functools.cmp_to_key(cmp))
+    steps = [_segment(e, x_a, x_b) for e in entries]
+    return _exact_sorted(steps, lambda s: (_fkey(s.y), _fkey(s.x_lo)), cmp)
 
 
 def _staircase_ok(steps: list[Step], component: str) -> Optional[str]:
@@ -303,8 +325,9 @@ def _nearest(
     """The six levels nearest the anchor level, at or above it for sign 1
     and at or below it for sign -1, nearest first."""
     cs = [e for e in entries if e is not anchor and sign * params.cmp(e.value, anchor.value) >= 0]
-    cs.sort(key=functools.cmp_to_key(lambda u, v: sign * params.cmp(u.value, v.value)))
-    return cs[:6]
+    return _exact_sorted(
+        cs, lambda e: sign * _fkey(e.value), lambda u, v: sign * params.cmp(u.value, v.value)
+    )[:6]
 
 
 def solve_corners(
@@ -503,36 +526,66 @@ class BijectivityReport:
         }
 
 
-def _cuts(values: list[Bound]) -> list[Bound]:
-    """The distinct values in ascending order, between NEG_INF and POS_INF."""
-    out: list[Bound] = []
-    for v in sorted([NEG_INF, POS_INF, *values], key=_BOUND_KEY):
-        if not out or cmp_bound(out[-1], v) != 0:
-            out.append(v)
-    return out
+def _ranks(values: list[Bound]) -> tuple[list[Bound], list[int]]:
+    """The distinct values in ascending order, and the position of each
+    given value among them."""
+    cuts: list[Bound] = []
+    ranks = [0] * len(values)
+    order = _exact_sorted(
+        enumerate(values), lambda e: _fkey(e[1]), lambda e, f: cmp_bound(e[1], f[1])
+    )
+    for i, v in order:
+        if not cuts or cmp_bound(cuts[-1], v) != 0:
+            cuts.append(v)
+        ranks[i] = len(cuts) - 1
+    return cuts, ranks
 
 
-def _grid(boxes: list[Box]) -> tuple[list[Bound], list[Bound]]:
-    """The exact grid (xs, ys) of all box sides; its cell (i, j) is
-    [xs[i], xs[i+1]] x [ys[j], ys[j+1]]."""
-    xs = _cuts([v for b in boxes for v in (b.x_lo, b.x_hi)])
-    ys = _cuts([v for b in boxes for v in (b.y_lo, b.y_hi)])
-    return xs, ys
+def _grid(boxes: list[Box]) -> tuple[list[Bound], list[Bound], list[tuple[range, range]]]:
+    """The exact grid (xs, ys) of all box sides, and the columns and rows
+    of the cells that tile each box; cell (i, j) is [xs[i], xs[i+1]] x
+    [ys[j], ys[j+1]]."""
+    xs, xr = _ranks([v for b in boxes for v in (b.x_lo, b.x_hi)])
+    ys, yr = _ranks([v for b in boxes for v in (b.y_lo, b.y_hi)])
+    return xs, ys, [(range(*xr[k : k + 2]), range(*yr[k : k + 2])) for k in range(0, len(xr), 2)]
 
 
-def _at(cuts: list[Bound], v: Bound) -> int:
-    """Position of the value v in the sorted cuts, by binary search."""
-    i = bisect.bisect_left(cuts, _BOUND_KEY(v), key=_BOUND_KEY)
-    if cmp_bound(cuts[i], v) != 0:
-        raise ConstructionError("box endpoint missing from the cut grid")
-    return i
+def _row_tiles(pieces: list[Box], images: list[Box]) -> bool:
+    """Whether the images, sorted by x_lo, chain exactly across each of the
+    domain's pieces, sorted and disjoint, with no image left over."""
+    rest = iter(images)
+    edge: Bound = NEG_INF
+    for d in pieces:
+        if cmp_bound(edge, d.x_lo) > 0:
+            return False  # the pieces overlap
+        at = d.x_lo
+        while cmp_bound(at, d.x_hi) < 0:
+            im = next(rest, None)
+            if im is None or cmp_bound(im.x_lo, at) != 0:
+                return False
+            at = im.x_hi
+        if cmp_bound(at, d.x_hi) != 0:
+            return False
+        edge = d.x_hi
+    return next(rest, None) is None
 
 
-def _cells(box: Box, grid: tuple[list[Bound], list[Bound]]) -> list[tuple[int, int]]:
-    """The grid cells that tile the box."""
-    xs, ys = grid
-    rows = range(_at(ys, box.y_lo), _at(ys, box.y_hi))
-    return [(i, j) for i in range(_at(xs, box.x_lo), _at(xs, box.x_hi)) for j in rows]
+def _sweep_tiles(domain: tuple[Box, ...], images: list[Box]) -> bool:
+    """Whether the images tile the domain, band by band between consecutive
+    y-cuts of all the boxes: then every cell of the exact grid is covered
+    once, by the domain and by the images alike.  A band holds the domain's
+    pieces and the images across it, each by ascending x_lo."""
+    tagged = _exact_sorted(
+        [(0, bx) for bx in domain] + [(1, bx) for bx in images],
+        lambda t: _fkey(t[1].x_lo),
+        lambda t, u: cmp_bound(t[1].x_lo, u[1].x_lo),
+    )
+    ys, ranks = _ranks([v for _, bx in tagged for v in (bx.y_lo, bx.y_hi)])
+    rows: list[tuple[list[Box], list[Box]]] = [([], []) for _ in ys[1:]]
+    for k, (side, bx) in enumerate(tagged):
+        for j in range(ranks[2 * k], ranks[2 * k + 1]):
+            rows[j][side].append(bx)
+    return all(_row_tiles(pieces, ims) for pieces, ims in rows)
 
 
 def locking_segments(dom: RectDomain) -> list[tuple[ExtReal, Bound, Bound]]:
@@ -556,10 +609,9 @@ def locking_segments(dom: RectDomain) -> list[tuple[ExtReal, Bound, Bound]]:
     return out
 
 
-def verify_bijectivity(dom: RectDomain) -> BijectivityReport:
-    """Cut the domain along the branches of the map -- below a, on [a, b]
-    and above b -- map the three parts by T, S and T^-1, and certify
-    that the images tile the domain."""
+def _branch_images(dom: RectDomain) -> tuple[Region, list[Box]]:
+    """The domain's boxes, and the images of its parts below a, on [a, b]
+    and above b under the branches T, S and T^-1 of the map."""
     a, b = dom.params.a, dom.params.b
     region = dom.region()
     branches = (
@@ -567,20 +619,38 @@ def verify_bijectivity(dom: RectDomain) -> BijectivityReport:
         (S, region.clip(a, b)),
         (T_INV, region.clip(b, POS_INF)),
     )
-    images = [im for m, part in branches for bx in part.boxes for im in mobius_box_image(m, bx)]
+    return region, [im for m, part in branches for bx in part.boxes for im in mobius_box_image(m, bx)]
 
-    grid = _grid([*region.boxes, *images])
-    domain_cells = Counter(c for bx in region.boxes for c in _cells(bx, grid))
+
+def verify_bijectivity(dom: RectDomain) -> BijectivityReport:
+    """Cut the domain along the branches of the map -- below a, on [a, b]
+    and above b -- map the three parts by T, S and T^-1, and certify
+    that the images tile the domain, by a sweep in y; a failing sweep
+    hands over to the cell grid, which counts and measures the defects."""
+    region, images = _branch_images(dom)
+    if not _sweep_tiles(region.boxes, images):
+        return _grid_report(dom)
+    return BijectivityReport(0, 0, 0, 0.0, 0.0, locking_segments(dom), ok=True)
+
+
+def _grid_report(dom: RectDomain) -> BijectivityReport:
+    """The tiling checked cell by cell on the exact grid of every box side."""
+    region, images = _branch_images(dom)
+    xs, ys, spans = _grid([*region.boxes, *images])
+
+    def count_cells(spans):
+        return Counter((i, j) for cols, rows in spans for i in cols for j in rows)
+
+    domain_cells = count_cells(spans[: len(region.boxes)])
     if any(v > 1 for v in domain_cells.values()):
         raise ConstructionError("domain boxes overlap; staircase is malformed")
-    image_cells = Counter(c for bx in images for c in _cells(bx, grid))
+    image_cells = count_cells(spans[len(region.boxes) :])
 
     overlap = [c for c, n in image_cells.items() if n > 1 and c in domain_cells]
     uncovered = [c for c in domain_cells if c not in image_cells]
     escaped = [c for c in image_cells if c not in domain_cells]
 
     def total_measure(cells):
-        xs, ys = grid
         tot = 0.0
         for i, j in cells:
             try:

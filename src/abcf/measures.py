@@ -26,16 +26,19 @@ import numpy as np
 
 from .attractor import build_attractor
 from .cf import digit_float
-from .natext import Box, Region
+from .natext import Box, Region, invariant_box_measure
 from .params import Params
 from .scalars import POS_INF, as_float
 
 
 @functools.lru_cache(maxsize=64)
-def _gauss_domain(params: Params) -> tuple[Region, tuple[tuple[float, float, float], ...], float]:
+def _gauss_domain(
+    params: Params,
+) -> tuple[Region, tuple[tuple[float, float, float], ...], float, float]:
     """The strip's boxes in Gauss-map coordinates, those of the lower
     component (y <= 0) first, each part by ascending x; the x-marginal's
-    terms (y0, y1, -X) in the same order; and their mass K."""
+    terms (y0, y1, -X) in the same order; their mass K; and K again, as
+    the invariant measure of the strip's boxes in the original coordinates."""
     if params.is_a0 or params.is_b0:
         raise ValueError("the invariant measure is infinite when a = 0 or b = 0")
     strip = build_attractor(params).region().clip(params.a, params.b).boxes
@@ -47,7 +50,8 @@ def _gauss_domain(params: Params) -> tuple[Region, tuple[tuple[float, float, flo
         boxes.append(Box(y0, y1, h, 0.0) if below else Box(y0, y1, 0.0, h))
         terms.append((y0, y1, -as_float(X)))
     terms = tuple(terms)
-    return Region(tuple(boxes)), terms, _mu_cdf(math.inf, terms, 1.0)
+    strip_measure = sum(invariant_box_measure(bx) for bx in strip)
+    return Region(tuple(boxes)), terms, _mu_cdf(math.inf, terms, 1.0), strip_measure
 
 
 def norm_const(params: Params) -> float:
@@ -95,7 +99,10 @@ def nu_mass(params: Params) -> float:
 
 
 def mu_mass(params: Params) -> float:
-    return mu_cdf(math.inf, params)
+    """The x-marginal's mass over the strip's box measure, which does not
+    read the marginal's terms: 1 up to rounding."""
+    _, terms, _, strip_measure = _gauss_domain(params)
+    return _mu_cdf(math.inf, terms, strip_measure)
 
 
 def mu_cdf(x: float, params: Params) -> float:
@@ -202,7 +209,7 @@ def invariance_check(params: Params, n_points: int, seed: int) -> float:
         return float("nan")
     pts = sample_nu(params, n_points, seed)
     xs, ys = F_hat_array(pts[:, 0], pts[:, 1], params)
-    dom, terms, C = _gauss_domain(params)
+    dom, terms, C, _ = _gauss_domain(params)
     return max(_ks(xs, lambda v: _mu_cdf(v, terms, C)), _ks(ys, lambda v: _nu_y_cdf(v, dom.boxes, C)))
 
 

@@ -1,10 +1,14 @@
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from abcf import attractor
 from abcf.attractor import (
     ConstructionError,
     RectDomain,
@@ -14,11 +18,15 @@ from abcf.attractor import (
     reduction_scan,
     verify_bijectivity,
     verify_connectivity,
+    _exact_sorted,
+    _fkey,
+    _grid_report,
 )
 from abcf.cycles import truncated_orbits
+from abcf.exceptional import exceptional_b, parse_plan
 from abcf.natext import F_step_array, sample_attractor, trapping_region
-from abcf.params import Params, interior_rational_params
-from abcf.scalars import NEG_INF, POS_INF, Surd, as_float
+from abcf.params import ParamError, Params, interior_rational_params
+from abcf.scalars import NEG_INF, POS_INF, Surd, as_float, cmp_bound
 
 
 Z = Params.make("-4/5", "2/5")
@@ -165,6 +173,112 @@ def test_bijectivity_reports_a_corrupted_domain(
     assert (rep.overlap_cells, rep.uncovered_cells, rep.escaped_cells) == cells
     assert rep.overlap_measure == pytest.approx(overlap_measure, rel=1e-12, abs=0.0)
     assert rep.uncovered_measure == pytest.approx(uncovered_measure, rel=1e-12)
+
+
+def _corrupted(dom):
+    """The domain with one of its first four lower x_lo or upper x_hi moved
+    by +-1/100, in turn."""
+    for side, field in (("lower", "x_lo"), ("upper", "x_hi")):
+        steps = getattr(dom, side)
+        for i, s in enumerate(steps[:4]):
+            if getattr(s, field) in (NEG_INF, POS_INF):
+                continue
+            for shift in (Fraction(1, 100), -Fraction(1, 100)):
+                moved = dataclasses.replace(s, **{field: getattr(s, field) + shift})
+                yield dataclasses.replace(dom, **{side: [*steps[:i], moved, *steps[i + 1 :]]})
+
+
+def test_sweep_agrees_with_the_grid(monkeypatch):
+    # every pair of P with denominators <= 4, and its corruptions: the
+    # report equals the cell grid's, the failing ones cell for cell
+    vals = sorted({Fraction(n, d) for d in range(1, 5) for n in range(4 * d + 1)})
+    pairs = []
+    for a in vals:
+        for b in vals:
+            try:
+                pairs.append(Params(-a, b))
+            except ParamError:
+                continue
+    assert len(pairs) == 146
+    doms = [d for p in pairs for dom in [build_attractor(p)] for d in (dom, *_corrupted(dom))]
+    failing = 0
+    for dom in doms:
+        rep = verify_bijectivity(dom).to_json()
+        assert rep == _grid_report(dom).to_json(), (dom.params.a, dom.params.b)
+        failing += not rep["ok"]
+    assert (len(doms), failing) == (1994, 1686)
+    # a repeated image overlaps its original, and lies past the domain's
+    # end when that is +oo, without a gap anywhere: the map preserves the
+    # invariant measure, so no corrupted domain shows either defect alone
+    real = attractor._branch_images
+    for p in pairs:
+        dom = build_attractor(p)
+        region, images = real(dom)
+        for extra in (images[0], images[-1]):
+            monkeypatch.setattr(attractor, "_branch_images", lambda _: (region, [*images, extra]))
+            rep = verify_bijectivity(dom).to_json()
+            assert not rep["ok"] and rep == _grid_report(dom).to_json(), (p.a, p.b)
+
+
+def test_no_grid_when_the_tiling_holds(monkeypatch):
+    def no_grid(boxes):
+        raise AssertionError("cell grid built")
+
+    monkeypatch.setattr(attractor, "_grid", no_grid)
+    m, plan = parse_plan("m=3;1x2,1x3,1x2,1x2,1x3,1x2,1x2,1x3")
+    b = exceptional_b(m, plan, 1e-10).b_mid
+    k = 53
+    for p, levels in ((Params(Fraction(1, k) - 1, Fraction(1, k)), 422), (Params(b - 1, b), 926)):
+        dom = build_attractor(p)
+        assert len(dom.upper) + len(dom.lower) == levels
+        assert verify_bijectivity(dom).ok
+
+
+def test_overlapping_domain_rows_raise():
+    # the upper row at -3/5 <= y <= -1/3 reaches x = 4, past the lower
+    # row's start x = 3 above y = -1/2
+    dom = build_attractor(Z)
+    dom.upper[0] = dataclasses.replace(dom.upper[0], x_hi=Fraction(4))
+    with pytest.raises(ConstructionError, match="domain boxes overlap"):
+        verify_bijectivity(dom)
+
+
+BIG = 1009  # past the square-factor sieve: sqrt(2 * BIG**2) stays unreduced
+
+
+@st.composite
+def bound_lists(draw):
+    """Fractions, surds of Q(sqrt 2), the sentinels and fractions past the
+    float range, each possibly followed by an equal value in a new object
+    (a surd in its d = 2 * BIG**2 form) and by the value plus 10**-30,
+    whose float ties with it."""
+    ints = st.integers(-30, 30)
+    atoms = st.one_of(
+        st.fractions(min_value=-5, max_value=5, max_denominator=30),
+        st.builds(lambda p, q, r: Surd.make(p, q, r, 2), ints, ints.filter(bool), st.integers(1, 30)),
+        st.sampled_from([NEG_INF, POS_INF, Fraction(10**400), Fraction(-(10**400), 3)]),
+    )
+    out = []
+    for v in draw(st.lists(atoms, max_size=14)):
+        out.append(v)
+        if v is NEG_INF or v is POS_INF:
+            continue
+        if draw(st.booleans()):
+            if isinstance(v, Surd):
+                out.append(Surd.make(BIG * v.p, v.q, BIG * v.r, 2 * BIG * BIG))
+            else:
+                out.append(Fraction(v.numerator, v.denominator))
+        if draw(st.booleans()):
+            out.append(v + Fraction(1, 10**30))
+    return draw(st.permutations(out))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(bound_lists())
+def test_exact_sorted_is_the_exact_sort(items):
+    got = _exact_sorted(items, _fkey, cmp_bound)
+    want = sorted(items, key=functools.cmp_to_key(cmp_bound))
+    assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
 
 
 def test_boundary_absorption_strong_cycles():

@@ -204,6 +204,20 @@ def test_mu_mass():
         assert abs(mu_mass(p) - 1) < 1e-8
 
 
+def test_mu_mass_checks_the_marginal_terms(monkeypatch):
+    # one wrong corner in the marginal's terms; K, their mass, moves with
+    # them, the strip's box measure does not
+    real = measures._gauss_domain
+
+    def corrupted(params):
+        dom, ((lo, hi, c), *terms), _, *rest = real(params)
+        terms = ((lo, hi, 1.1 * c), *terms)
+        return (dom, terms, measures._mu_cdf(math.inf, terms, 1.0), *rest)
+
+    monkeypatch.setattr(measures, "_gauss_domain", corrupted)
+    assert abs(mu_mass(SIMPLE) - 1) > 1e-3
+
+
 def test_mu_is_y_marginal_of_nu():
     dom = hat_domain(SIMPLE)
     a, b = as_float(SIMPLE.a), as_float(SIMPLE.b)
