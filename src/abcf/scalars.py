@@ -306,7 +306,7 @@ def cmp_exact(x: Number, y: Number) -> int:
     """Exact three-way comparison of rationals/surds, any fields.  Rationals
     compare first as the floats p/q: int / int rounds correctly, hence
     monotonically, so unequal floats decide; equal ones (or an overflow)
-    fall back to the exact comparison."""
+    fall back to the sign of one cross-multiplication."""
     if isinstance(x, Surd) and isinstance(y, Surd) and x.d != y.d:
         if x == y:
             return 0
@@ -325,9 +325,9 @@ def cmp_exact(x: Number, y: Number) -> int:
         if fx != fy:
             return 1 if fx > fy else -1
     except (OverflowError, AttributeError):  # beyond float range; floats
-        pass
-    fx, fy = Fraction(x), Fraction(y)
-    return (fx > fy) - (fx < fy)
+        x, y = Fraction(x), Fraction(y)
+    t = x.numerator * y.denominator - y.numerator * x.denominator
+    return (t > 0) - (t < 0)
 
 
 def cmp_bound(u: Bound, v: Bound) -> int:
@@ -356,25 +356,68 @@ def floor_exact(x: Scalar) -> int:
     raise PrecisionError(f"floor of {x!r} undecided")  # pragma: no cover
 
 
+def _cf_digits(p: int, q: int) -> Iterator[tuple[int, bool]]:
+    """The continued-fraction digits of p/q (q > 0) as (digit, last) pairs,
+    in Lehmer's batches.
+
+    While p > 0 is long, its top 64 bits P = p >> s and Q = q >> s enclose
+    p/q strictly: P/(Q+1) < p/q < (P+1)/Q.  Euclid runs on both ends with
+    small integers while their quotients agree and neither remainder is
+    zero, keeping the matrix of its steps.  The numbers that begin with
+    given digits form an interval, so the shared digits are those of p/q,
+    and none of them is its last digit, as p/q lies strictly inside.  One
+    product with the matrix then takes (p, q) past the whole batch.
+    Otherwise (p short or negative, or the first quotients differ) one
+    plain step is taken.
+    """
+    while q:
+        s = p.bit_length() - 64
+        if s > 0 and p > 0:
+            P, Q = p >> s, q >> s
+            p1, q1, p2, q2 = P, Q + 1, P + 1, Q
+            A, B, C, D = 1, 0, 0, 1
+            digits = []
+            while q1 and q2:
+                d = p1 // q1
+                if d != p2 // q2:
+                    break
+                digits.append(d)
+                A, B, C, D = C, D, A - d * C, B - d * D
+                p1, q1, p2, q2 = q1, p1 - d * q1, q2, p2 - d * q2
+            if digits:
+                p, q = A * p + B * q, C * p + D * q
+                for d in digits:
+                    yield d, False
+                continue
+        d = p // q
+        p, q = q, p - d * q
+        yield d, not q
+
+
 def simplest_in_interval(a: Fraction, b: Fraction) -> Fraction:
     """The rational with the smallest denominator in the closed [a, b].
 
-    Runs the continued-fraction digits of a = pa/qa and b = pb/qb on
-    integers until an integer lies in the interval, then returns the
-    convergent of those digits.
+    Reads the digits of a and b, each from its own stream (_cf_digits),
+    while no integer lies between their complete quotients: both then
+    share the digit n, and the interval maps to [1/(b - n), 1/(a - n)].
+    The last digit is the ceiling of the lower end (at step 0 the integer
+    nearest 0), and the answer is the convergent of the digits read.  The
+    simplest rational of a closed interval is unique, so the batches
+    cannot change it; they touch the long integers once per batch, not
+    once per digit.
     """
     if b < a:
         raise ValueError("empty interval")
-    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
+    lo, hi = _cf_digits(a.numerator, a.denominator), _cf_digits(b.numerator, b.denominator)
     h, h1, k, k1 = 1, 0, 0, 1  # convergents h/k and the one before
     while True:
-        ca, fb = -(-pa // qa), pb // qb
-        n = min(max(0, ca), fb) if ca <= fb else pa // qa
+        (dl, last), (du, _) = next(lo), next(hi)
+        cl = dl + (not last)  # ceiling of the lower end; du floors the upper
+        n = min(max(0, cl), du) if cl <= du else dl
         h, h1, k, k1 = n * h + h1, h, n * k + k1, k
-        if ca <= fb:
+        if cl <= du:
             return Fraction(h, k)
-        # a, b <- 1/(b - n), 1/(a - n); both gaps are positive
-        pa, qa, pb, qb = qb, pb - n * qb, qa, pa - n * qa
+        lo, hi = hi, lo  # [1/(b - n), 1/(a - n)]: the ends swap
 
 
 def midpoint_rational(x: Scalar, y: Scalar) -> Fraction:

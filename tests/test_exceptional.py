@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -186,6 +187,21 @@ def test_exceptional_midpoint_fails_finiteness():
     rep = finiteness_check(Params(b - 1, b), cap=400)
     assert not rep.finite
     assert rep.digit_values is not None and len(rep.digit_values) == 2
+
+
+@pytest.mark.parametrize(
+    "plan, width, bits, digest",
+    [
+        ("m=3;1x2,1x2,1x3,1x2,1x2,1x2,1x3,1x2", 1e-200, 5406, "830cb7384a6c4988"),
+        ("m=3;2x1,2x2,2x1,2x1,2x2,2x1,2x1", 1e-250, 1340, "4f493dee586129b6"),
+    ],
+)
+def test_deep_plan_b_is_pinned(plan, width, bits, digest):
+    # the simplest rational in the last triangle's gap, whose digits come in
+    # many leading-bit batches; pinned by the sha256 of its "p/q" text
+    b = exceptional_b(*parse_plan(plan), width).b_mid
+    assert b.denominator.bit_length() == bits
+    assert hashlib.sha256(f"{b.numerator}/{b.denominator}".encode()).hexdigest().startswith(digest)
 
 
 def test_parse_plan():

@@ -6,6 +6,7 @@ second representation of the same field is (p + q*sqrt(d*1009**2))/r:
 d*1009**2 and the value equals (p + 1009*q*sqrt(d))/r.
 """
 
+import random
 from fractions import Fraction
 
 import mpmath
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from abcf.scalars import (
     Surd,
+    _cf_digits,
     cmp_exact,
     floor_exact,
     midpoint_rational,
@@ -136,6 +138,77 @@ def test_simplest_in_interval_empty():
         simplest_in_interval(Fraction(1), Fraction(0))
 
 
+def reference_simplest(a: Fraction, b: Fraction) -> Fraction:
+    """The full-size digit loop: one Euclid step on the long integers of
+    both ends per digit."""
+    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
+    h, h1, k, k1 = 1, 0, 0, 1
+    while True:
+        ca, fb = -(-pa // qa), pb // qb
+        n = min(max(0, ca), fb) if ca <= fb else pa // qa
+        h, h1, k, k1 = n * h + h1, h, n * k + k1, k
+        if ca <= fb:
+            return Fraction(h, k)
+        pa, qa, pb, qb = qb, pb - n * qb, qa, pa - n * qa
+
+
+def from_digits(digits: list[int]) -> Fraction:
+    x = Fraction(digits[-1])
+    for d in reversed(digits[:-1]):
+        x = d + 1 / x
+    return x
+
+
+@st.composite
+def long_intervals(draw):
+    """Intervals [a, b] whose ends have 65- to 4000-bit terms: ends that share
+    long continued-fraction prefixes, a == b, integer ends, a < 0 < b and
+    negative ends."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    bits = draw(st.integers(65, 4000))
+    kind = draw(st.sampled_from(["width", "prefix", "equal", "integer", "straddle", "negative"]))
+    a = Fraction(rng.getrandbits(bits) - (1 << (bits - 1)), rng.getrandbits(bits) | 1)
+    if kind == "width":  # [a, a + 2**-k]
+        return a, a + Fraction(1, 1 << rng.randint(1, 2 * bits))
+    if kind == "prefix":  # a common prefix, then two tails
+        head = [rng.randint(-9, 9)] + [rng.choice([1, 1, 1, 2, 3, 7, 2**70]) for _ in range(bits // 2)]
+        x, y = (from_digits(head + [rng.randint(1, 9) for _ in range(rng.randint(1, 60))]) for _ in "xy")
+        return min(x, y), max(x, y)
+    if kind == "equal":
+        return a, a
+    if kind == "integer":
+        n = Fraction(a.numerator // a.denominator)
+        return (n, a) if a >= n else (a, n)
+    w = Fraction(rng.getrandbits(bits) + 1, rng.getrandbits(bits) | 1)
+    if kind == "straddle":
+        return -abs(a) - 1 / w, abs(a) + 1 / w
+    return -abs(a) - w, -abs(a)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(long_intervals())
+def test_simplest_in_interval_matches_the_full_size_loop(ab):
+    a, b = ab
+    s = simplest_in_interval(a, b)
+    assert a <= s <= b
+    assert s == reference_simplest(a, b)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(long_intervals())
+def test_cf_digits_match_plain_euclid(ab):
+    # a common factor g keeps p and q long down to the final digit
+    for x, g in zip(ab, (1, 2**200 + 1)):
+        p, q = g * x.numerator, g * x.denominator
+        digits = []
+        while q:
+            digits.append(p // q)
+            p, q = q, p % q
+        assert list(_cf_digits(g * x.numerator, g * x.denominator)) == [
+            (d, i == len(digits) - 1) for i, d in enumerate(digits)
+        ]
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(surd_pairs(), fractions)
 def test_midpoint_rational_lies_strictly_between(pair, f):
@@ -199,3 +272,21 @@ def test_float_filter_edge_cases_take_the_exact_path():
     neg, pos = Fraction(-1, 10**400), Fraction(1, 10**401)
     assert neg.numerator / neg.denominator == 0.0 == pos.numerator / pos.denominator
     assert cmp_exact(neg, pos) == -1 and cmp_exact(neg, 0) == -1 and cmp_exact(0, pos) == -1
+
+
+def test_cmp_exact_on_long_fractions_whose_floats_tie():
+    # about 5000-bit fractions: pairs that differ only past bit 5000, pairs
+    # that differ between bits 60 and 5000, and equal values held in distinct
+    # objects; every pair ties as floats, so the exact path decides
+    rng = random.Random(14)
+    for _ in range(60):
+        x = Fraction(rng.getrandbits(5000) - (1 << 4999), rng.getrandbits(5000) | 1)
+        g = rng.getrandbits(100) | 1
+        twins = [Fraction(g * x.numerator, g * x.denominator), Fraction(x.numerator, x.denominator)]
+        near = [x + Fraction(rng.choice([-1, 1]) * rng.getrandbits(40), 1 << rng.randint(100, 5040)) for _ in range(4)]
+        far = [x + Fraction(rng.choice([-1, 1]), x.denominator << 5001)]
+        for y in twins + near + far:
+            assert y is not x and x.numerator / x.denominator == y.numerator / y.denominator
+            assert cmp_exact(x, y) == (x > y) - (x < y) == -cmp_exact(y, x)
+        assert all(cmp_exact(x, y) == 0 for y in twins)
+        assert all(cmp_exact(x, y) != 0 for y in far)
