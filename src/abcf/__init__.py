@@ -28,7 +28,6 @@ from .cycles import (
     TruncatedOrbits,
     cycle_strength,
     detect_cycle,
-    finiteness_check,
     orbit,
     truncated_orbits,
 )

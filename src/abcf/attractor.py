@@ -22,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Optional
+from typing import Iterator, Literal, Optional
 
 import numpy as np
 
@@ -56,7 +56,13 @@ from .scalars import (
 
 
 class ConstructionError(RuntimeError):
-    """The finite-rectangular construction failed; carries diagnostics."""
+    """The finite-rectangular construction failed; carries diagnostics.
+
+    When the endpoint orbits do not resolve at the cap (the finiteness
+    condition fails), ``failed_endpoint`` names the first endpoint, "a"
+    or "b", whose cycle is undetermined; otherwise it is None."""
+
+    failed_endpoint: Optional[str] = None
 
 
 def _fkey(v: Bound) -> float:
@@ -242,35 +248,67 @@ def _sorted_steps(entries: list[LevelEntry], x_a: ExtReal, x_b: ExtReal) -> list
     return _exact_sorted(steps, lambda s: (_fkey(s.y), _fkey(s.x_lo)), cmp)
 
 
-def _staircase_ok(steps: list[Step], component: str) -> Optional[str]:
-    """None when the sorted segments chain into one staircase, else a reason."""
-    if not steps:
-        return f"{component}: empty"
-    for i in range(len(steps) - 1):
-        if cmp_bound(steps[i].x_hi, steps[i + 1].x_lo) != 0:
-            return (
-                f"{component}: segments at levels {steps[i].y} ({steps[i].origin}) and "
-                f"{steps[i + 1].y} ({steps[i + 1].origin}) not joined: "
-                f"{steps[i].x_hi} vs {steps[i + 1].x_lo}"
-            )
-    if component == "lower":
-        if steps[-1].x_hi is not POS_INF:
-            return "lower: top segment does not extend to +oo"
-        if steps[0].x_lo is NEG_INF:
-            return "lower: bottom segment unbounded left"
-        if any(s.x_hi is POS_INF for s in steps[:-1]):
-            return "lower: interior segment unbounded"
-    else:
-        if steps[0].x_lo is not NEG_INF:
-            return "upper: bottom segment does not extend to -oo"
-        if steps[-1].x_hi is POS_INF:
-            return "upper: top segment unbounded right"
-        if any(s.x_lo is NEG_INF for s in steps[1:]):
-            return "upper: interior segment unbounded"
-    for s in steps:
-        if s.x_lo is not NEG_INF and s.x_hi is not POS_INF and cmp_bound(s.x_lo, s.x_hi) >= 0:
-            return f"{component}: empty segment at level {s.y} ({s.origin})"
-    return None
+def _disconnections(dom: RectDomain) -> Iterator[str]:
+    """Why the staircases do not bound one connected domain, first reason
+    first: per component (lower, then upper) the breaks of the chain and
+    the faults of the staircase shape, then the joins at x = 0 (La[1]|Lb[0],
+    Ua[0]|Ub[1]) and the corner joins at x_a (straddling a) and x_b
+    (straddling b).  The empty components of a degenerate domain pass."""
+    params = dom.params
+    for steps, component in ((dom.lower, "lower"), (dom.upper, "upper")):
+        if not steps:
+            if not dom.degenerate:
+                yield f"{component}: empty"
+            continue
+        for s, t in zip(steps, steps[1:]):
+            if cmp_bound(s.x_hi, t.x_lo) != 0:
+                yield (
+                    f"{component}: segments at levels {s.y} ({s.origin}) and "
+                    f"{t.y} ({t.origin}) not joined: {s.x_hi} vs {t.x_lo}"
+                )
+        if component == "lower":
+            if steps[-1].x_hi is not POS_INF:
+                yield "lower: top segment does not extend to +oo"
+            if steps[0].x_lo is NEG_INF:
+                yield "lower: bottom segment unbounded left"
+            if any(s.x_hi is POS_INF for s in steps[:-1]):
+                yield "lower: interior segment unbounded"
+        else:
+            if steps[0].x_lo is not NEG_INF:
+                yield "upper: bottom segment does not extend to -oo"
+            if steps[-1].x_hi is POS_INF:
+                yield "upper: top segment unbounded right"
+            if any(s.x_lo is NEG_INF for s in steps[1:]):
+                yield "upper: interior segment unbounded"
+        for s in steps:
+            if s.x_lo is not NEG_INF and s.x_hi is not POS_INF and cmp_bound(s.x_lo, s.x_hi) >= 0:
+                yield f"{component}: empty segment at level {s.y} ({s.origin})"
+    zero = Fraction(0)
+    for steps, origin_left, origin_right, label in (
+        (dom.lower, "La[1]", "Lb[0]", "join STa|Sb at 0"),
+        (dom.upper, "Ua[0]", "Ub[1]", "join Sa|ST-1b at 0"),
+    ):
+        left = next((s for s in steps if s.origin == origin_left), None)
+        right = next((s for s in steps if s.origin == origin_right), None)
+        if left is not None and right is not None:
+            if cmp_bound(left.x_hi, zero) != 0 or cmp_bound(right.x_lo, zero) != 0:
+                yield f"{label}: expected join at x = 0"
+    for steps, pivot, corner, component in (
+        (dom.lower, params.a, dom.x_a, "lower/x_a"),
+        (dom.upper, params.b, dom.x_b, "upper/x_b"),
+    ):
+        if corner is None:
+            continue
+        # when the endpoint itself occurs as an orbit level (an exact hit,
+        # the coupling case), either adjacent pair may carry the corner;
+        # accept any straddling pair joining there
+        cands = [
+            i
+            for i in range(len(steps) - 1)
+            if params.cmp(steps[i].y, pivot) <= 0 and params.cmp(pivot, steps[i + 1].y) <= 0
+        ]
+        if cands and not any(cmp_bound(steps[i].x_hi, corner) == 0 for i in cands):
+            yield f"{component}: levels straddling the endpoint do not join at the corner"
 
 
 # -- the corner system ----------------------------------------------------
@@ -330,18 +368,25 @@ def _nearest(
     )[:6]
 
 
-def solve_corners(
-    params: Params, tro: TruncatedOrbits
-) -> tuple[ExtReal, ExtReal, list[Step], list[Step]]:
+def _finiteness_error(tro: TruncatedOrbits) -> ConstructionError:
+    """The error for orbits unresolved at the cap.  Built here, not in a
+    local of the raising frame: that local would tie the error to its own
+    traceback in a cycle, which keeps the orbits alive until a collection."""
+    err = ConstructionError("finiteness condition fails at the cap")
+    err.failed_endpoint = "a" if tro.cycle_a.classification == "undetermined" else "b"
+    return err
+
+
+def solve_corners(params: Params, tro: TruncatedOrbits) -> RectDomain:
     """Find (x_a, x_b) by scanning the admissible (y_ell, y_u) pairs.
 
     Each candidate pair yields a two-equation Mobius system; a solution
     is accepted only if the corner bounds x_a >= 1, x_b <= -1 hold and
-    the full transported staircase chains up exactly.  Returns the
-    corners with the accepted upper and lower steps, ascending in y.
+    the transported staircases bound one connected domain (the chain,
+    the joins at 0 and the corner joins).  Returns that domain.
     """
     if not tro.finite:
-        raise ConstructionError("finiteness condition fails at the cap")
+        raise _finiteness_error(tro)
     lower_entries, upper_entries = _entries(tro)
     sb_entry = next((e for e in lower_entries if e.chain == "Lb" and e.pos == 0), None)
     sa_entry = next((e for e in upper_entries if e.chain == "Ua" and e.pos == 0), None)
@@ -366,9 +411,10 @@ def solve_corners(
                 except ConstructionError as exc:
                     failures.append(f"({e_l.origin},{e_u.origin}): {exc}")
                     continue
-                reason = _staircase_ok(lower, "lower") or _staircase_ok(upper, "upper")
+                dom = RectDomain(params, upper, lower, x_a, x_b, orbits=tro)
+                reason = next(_disconnections(dom), None)
                 if reason is None:
-                    return x_a, x_b, upper, lower
+                    return dom
                 failures.append(f"({e_l.origin},{e_u.origin}): {reason}")
     raise ConstructionError(
         "no corner candidate produced a connected staircase:\n  " + "\n  ".join(failures[:12])
@@ -411,87 +457,21 @@ def _degenerate_domain(params: Params) -> RectDomain:
 
 
 def build_attractor(params: Params, cap: int = 100_000) -> RectDomain:
-    """Compute the attractor domain exactly from the truncated orbits."""
+    """Compute the attractor domain exactly from the truncated orbits.  This
+    is the finiteness test too: when the orbits do not resolve at the cap,
+    the ConstructionError names the failed endpoint."""
     if params.degenerate:
         return _degenerate_domain(params)
     if not params.exact:
         raise ConstructionError("attractor construction requires exact parameters")
-    tro = truncated_orbits(params, cap)
-    x_a, x_b, upper, lower = solve_corners(params, tro)
-    dom = RectDomain(params, upper, lower, x_a, x_b, orbits=tro)
-    report = verify_connectivity(dom)
-    if not report["ok"]:
-        raise ConstructionError(f"connectivity failed: {report['failures']}")
-    return dom
+    return solve_corners(params, truncated_orbits(params, cap))
 
 
 def verify_connectivity(dom: RectDomain) -> dict:
-    """Adjacency of consecutive levels, the joins at x = 0, and the
-    corner joins at x_a (straddling a) and x_b (straddling b)."""
-    params = dom.params
-    failures: list[str] = []
-    checks: list[dict] = []
-
-    def chain(steps: list[Step], component: str):
-        for i in range(len(steps) - 1):
-            ok = cmp_bound(steps[i].x_hi, steps[i + 1].x_lo) == 0
-            checks.append(
-                {
-                    "kind": "adjacent",
-                    "component": component,
-                    "levels": [as_float(steps[i].y), as_float(steps[i + 1].y)],
-                    "ok": ok,
-                }
-            )
-            if not ok:
-                failures.append(
-                    f"{component}: {steps[i].origin} -> {steps[i + 1].origin} disconnected"
-                )
-
-    chain(dom.lower, "lower")
-    chain(dom.upper, "upper")
-
-    if not dom.degenerate:
-        zero = Fraction(0)
-
-        def named_join(steps, origin_left, origin_right, label):
-            left = next((s for s in steps if s.origin == origin_left), None)
-            right = next((s for s in steps if s.origin == origin_right), None)
-            if left is None or right is None:
-                return
-            ok = cmp_bound(left.x_hi, zero) == 0 and cmp_bound(right.x_lo, zero) == 0
-            checks.append({"kind": label, "ok": ok})
-            if not ok:
-                failures.append(f"{label}: expected join at x = 0")
-
-        named_join(dom.lower, "La[1]", "Lb[0]", "join STa|Sb at 0")
-        named_join(dom.upper, "Ua[0]", "Ub[1]", "join Sa|ST-1b at 0")
-
-        def corner_join(steps, pivot, corner, component):
-            # when the endpoint itself occurs as an orbit level (an exact
-            # hit, the coupling case), either adjacent pair may carry the
-            # corner; accept any straddling pair joining there
-            cands = [
-                i
-                for i in range(len(steps) - 1)
-                if params.cmp(steps[i].y, pivot) <= 0
-                and params.cmp(pivot, steps[i + 1].y) <= 0
-            ]
-            if not cands:
-                return
-            ok = any(cmp_bound(steps[i].x_hi, corner) == 0 for i in cands)
-            checks.append({"kind": f"corner join ({component})", "ok": ok})
-            if not ok:
-                failures.append(
-                    f"{component}: levels straddling the endpoint do not join at the corner"
-                )
-
-        if dom.x_a is not None and dom.lower:
-            corner_join(dom.lower, params.a, dom.x_a, "lower/x_a")
-        if dom.x_b is not None and dom.upper:
-            corner_join(dom.upper, params.b, dom.x_b, "upper/x_b")
-
-    return {"ok": not failures, "failures": failures, "checks": checks}
+    """{"ok", "failures"}: the reasons, if any, why the staircases do not
+    bound one connected domain (see _disconnections)."""
+    failures = list(_disconnections(dom))
+    return {"ok": not failures, "failures": failures}
 
 
 # -- bijectivity ------------------------------------------------------------

@@ -26,7 +26,7 @@ from .attractor import (
     verify_connectivity,
 )
 from .cf import expand
-from .cycles import detect_cycle, finiteness_check
+from .cycles import detect_cycle
 from .exceptional import exceptional_b, parse_plan
 from .measures import measures_report
 from .natext import sample_attractor
@@ -261,19 +261,21 @@ def _cmd_verify(args) -> int:
     params = _params(args)
     report: dict = {"config": _config_echo(args)}
     ok = True
-    fin = finiteness_check(params, args.cap)
-    report["finiteness"] = {"finite": fin.finite, "failed_endpoint": fin.failed_endpoint}
-    if not fin.finite:
+    try:
+        dom = build_attractor(params, args.cap)
+    except ConstructionError as exc:
+        if exc.failed_endpoint is None:
+            raise
+        report["finiteness"] = {"finite": False, "failed_endpoint": exc.failed_endpoint}
         report["ok"] = False
         _emit(report, args)
         return 2
-    dom = build_attractor(params, args.cap)
+    report["finiteness"] = {"finite": True, "failed_endpoint": None}
     report["x_a"] = None if dom.x_a is None else as_float(dom.x_a)
     report["x_b"] = None if dom.x_b is None else as_float(dom.x_b)
     if args.suite in ("connectivity", "all"):
-        conn = verify_connectivity(dom)
-        report["connectivity"] = {"ok": conn["ok"], "failures": conn["failures"]}
-        ok &= conn["ok"]
+        report["connectivity"] = verify_connectivity(dom)
+        ok &= report["connectivity"]["ok"]
     if args.suite in ("bijectivity", "all"):
         bij = verify_bijectivity(dom)
         report["bijectivity"] = bij.to_json()

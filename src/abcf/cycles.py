@@ -228,33 +228,3 @@ def truncated_orbits(params: Params, cap: int = 100_000) -> TruncatedOrbits:
         cycle_a=ca,
         cycle_b=cb,
     )
-
-
-@dataclass
-class FinitenessReport:
-    finite: bool
-    failed_endpoint: Optional[str] = None
-    digit_values: Optional[list[int]] = None
-
-    def __bool__(self) -> bool:
-        return self.finite
-
-
-def finiteness_check(params: Params, cap: int = 100_000) -> FinitenessReport:
-    """Finite iff all four truncated orbits resolve below the cap.
-
-    For a suspect (unresolved) endpoint, reports the distinct digit values
-    seen in its expansion; exceptional parameters show two consecutive
-    values.
-    """
-    tro = truncated_orbits(params, cap)
-    if tro.finite:
-        return FinitenessReport(True)
-    from .cf import expand
-
-    failed = "a" if tro.cycle_a.classification == "undetermined" else "b"
-    endpoint = params.a if failed == "a" else params.b
-    seed = S.apply(endpoint)
-    exp = expand(seed, params, max_digits=60)
-    pattern = sorted(set(exp.digits[1:])) if len(exp.digits) > 1 else sorted(set(exp.digits))
-    return FinitenessReport(False, failed_endpoint=failed, digit_values=pattern)

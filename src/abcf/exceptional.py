@@ -133,17 +133,20 @@ class SubstitutionScheme:
             m, Block((m,), "A", 0), Block((m + 1,), "B", 0)
         )
 
+    def _base_blocks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The blocks (A, B) of the triangle's base: the current ones at
+        generation 0 and for first-kind generations, the previous ones
+        for second-kind generations."""
+        if self.gen == 0 or self.case_tag == "case1":
+            return self.A.seq, self.B.seq
+        return self.prev_A.seq, self.prev_B.seq
+
     def triangle(self) -> TriangleRegion:
         """Exact bounds of the generation's triangle in closed form:
-        vertex (0, overline(A)), base (0, A, overline(B)) with the
-        current blocks for first-kind generations and the previous ones
-        for second-kind generations."""
-        if self.gen == 0:
-            lo = base_value(self.A.seq, self.m)
-        elif self.case_tag == "case1":
-            lo = -evaluate_minus_cf([0, *self.A.seq], list(self.B.seq))
-        else:
-            lo = -evaluate_minus_cf([0, *self.prev_A.seq], list(self.prev_B.seq))
+        vertex (0, overline(A)), base (0, A, overline(B)) with the base
+        blocks."""
+        A, B = self._base_blocks()
+        lo = -evaluate_minus_cf([0, *A], list(B))
         hi = vertex_value(self.A.seq)
         return TriangleRegion(
             self.m, self.A.seq, lo, hi, empty=cmp_exact(lo, hi) >= 0
@@ -227,17 +230,9 @@ def admissible_prefix(
 
 
 def base_length(scheme: SubstitutionScheme) -> Scalar:
-    """Length of the lower base of the generation's triangle.
-
-    First-kind generations use the current blocks, second-kind ones the
-    previous generation's blocks.
-    """
-    if scheme.gen == 0:
-        A, B = scheme.A.seq, scheme.B.seq
-    elif scheme.case_tag == "case1":
-        A, B = scheme.A.seq, scheme.B.seq
-    else:
-        A, B = scheme.prev_A.seq, scheme.prev_B.seq
+    """Length of the lower base of the generation's triangle, from its
+    base blocks."""
+    A, B = scheme._base_blocks()
     right = evaluate_minus_cf([0], list(B))
     left = evaluate_minus_cf([0, *A], list(B))
     return right - left

@@ -17,7 +17,7 @@ from abcf.attractor import (
     verify_bijectivity,
 )
 from abcf.cf import bounded_digit_interval, convergents, expand
-from abcf.cycles import detect_cycle, finiteness_check
+from abcf.cycles import detect_cycle, truncated_orbits
 from abcf.exceptional import base_length, run_plan, triangle_region
 from abcf.measures import (
     entropy_rokhlin,
@@ -26,6 +26,7 @@ from abcf.measures import (
     nu_mass,
     rokhlin_integral,
 )
+from abcf.mobius import S
 from abcf.natext import sample_attractor, trapping_region
 from abcf.params import Params, interior_rational_params
 from abcf.scalars import NEG_INF, POS_INF, Surd, as_float, cmp_exact
@@ -214,9 +215,13 @@ def test_criterion_09_exceptional_construction():
     from abcf.scalars import midpoint_rational
 
     b = midpoint_rational(final.b_lo, final.b_hi)
-    rep = finiteness_check(Params(b - 1, b), cap=1_000)
-    assert not rep.finite
-    assert rep.digit_values is not None and len(rep.digit_values) == 2
+    p = Params(b - 1, b)
+    tro = truncated_orbits(p, cap=1_000)
+    assert not tro.finite
+    # the digit values of the unresolved endpoint: two consecutive ones
+    endpoint = p.a if tro.cycle_a.classification == "undetermined" else p.b
+    digit_values = sorted(set(expand(S.apply(endpoint), p, 60).digits[1:]))
+    assert len(digit_values) == 2
     # forbidden patterns yield empty triangles
     assert triangle_region(3, [3, 3, 4, 4]).empty  # consecutive m+1 after A-led prefix
     assert triangle_region(3, [3, 3, 4, 3, 3, 3]).empty  # m-block longer than l_m
@@ -225,7 +230,7 @@ def test_criterion_09_exceptional_construction():
     report(
         9,
         f"8-step plan: nested nonempty triangles, widths to {final.width:.1e}, "
-        f"finiteness fails at cap 1e3 (digits {rep.digit_values})",
+        f"finiteness fails at cap 1e3 (digits {digit_values})",
         elapsed,
     )
 

@@ -1,6 +1,8 @@
 import dataclasses
 import functools
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -354,8 +356,33 @@ def test_reduction_scan_empty_grid():
 
 
 def test_float_params_rejected():
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError) as info:
         build_attractor(Params.make(-0.8, 0.4))
+    assert info.value.failed_endpoint is None
+
+
+def test_finiteness_error_names_the_endpoint_and_frees_the_orbits(monkeypatch):
+    # a pair shadowing an exceptional point beyond the cap: the error names
+    # the endpoint, and once it is handled the orbits are freed at once,
+    # not by a later garbage collection (they are large near the set)
+    b = exceptional_b(*parse_plan("m=3;1x2,1x3,1x2,1x2,1x3"), 1e-30).b_mid
+    refs = []
+
+    def kept(*args, **kwargs):
+        tro = truncated_orbits(*args, **kwargs)
+        refs.append(weakref.ref(tro))
+        return tro
+
+    monkeypatch.setattr(attractor, "truncated_orbits", kept)
+    gc.disable()
+    try:
+        with pytest.raises(ConstructionError, match="finiteness condition fails at the cap") as info:
+            build_attractor(Params(b - 1, b), cap=600)
+        assert info.value.failed_endpoint == "a"
+        del info
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_json_round_trip_shape():

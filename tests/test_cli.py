@@ -248,21 +248,90 @@ def test_attractor_svg_output(tmp_path):
     assert out.read_text().startswith("<svg ")
 
 
-def test_verify_exit_2_on_finiteness_failure(tmp_path, capsys):
-    # a rational pair shadowing an exceptional point beyond the cap
+def _shadowing_pair() -> tuple[str, str]:
+    """A rational pair shadowing an exceptional point beyond cap 600."""
     from abcf.exceptional import run_plan
     from abcf.scalars import midpoint_rational
-    from fractions import Fraction
 
     plan = [("case1", 2), ("case1", 3), ("case1", 2), ("case1", 2), ("case1", 3)]
     tri = run_plan(3, plan)[-1].triangle()
     b = midpoint_rational(tri.b_lo, tri.b_hi)
-    a = b - 1
+    return str(b - 1), str(b)
+
+
+def test_verify_exit_2_on_finiteness_failure(tmp_path, capsys):
+    a, b = _shadowing_pair()
     code = main(["verify", f"--a={a}", f"--b={b}", "--suite", "connectivity",
                  "--cap", "600"])
     assert code == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["finiteness"]["finite"] is False
+
+
+@pytest.mark.parametrize("pair, suite, calls", [
+    (("-4/5", "2/5"), "all", 1),
+    (None, "connectivity", 1),  # the shadowing pair, at cap 600
+    (("-1", "1"), "all", 0),
+    (("0", "3/2"), "all", 0),
+])
+def test_verify_runs_the_orbits_at_most_once(pair, suite, calls, monkeypatch, capsys):
+    # the construction is the finiteness test: one orbit pass for an exact
+    # pair, none for the explicit domains of the degenerate ones, and no
+    # digit expansion at all
+    import abcf.attractor
+    import abcf.cycles
+
+    real, seen = abcf.cycles.truncated_orbits, []
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+
+    def no_expand(*args, **kwargs):
+        raise AssertionError("verify expanded a number")
+
+    for module in (abcf.attractor, abcf.cycles):
+        monkeypatch.setattr(module, "truncated_orbits", counted)
+    monkeypatch.setattr("abcf.cf.expand", no_expand)
+    a, b = pair or _shadowing_pair()
+    code, out = run_cli(["verify", f"--a={a}", f"--b={b}", "--suite", suite,
+                         "--cap", "100000" if pair else "600", "--n-points", "2000"], capsys)
+    payload = json.loads(out)
+    assert len(seen) == calls
+    if pair:
+        assert code == 0 and payload["ok"]
+        assert payload["finiteness"] == {"finite": True, "failed_endpoint": None}
+    else:
+        assert code == 2
+        assert list(payload) == ["config", "finiteness", "ok"]
+        assert payload["finiteness"] == {"finite": False, "failed_endpoint": "a"}
+        assert payload["ok"] is False
+
+
+def test_verify_float_pair_fails_before_any_orbit(monkeypatch, capsys):
+    def no_orbit(*args, **kwargs):
+        raise AssertionError("an orbit ran")
+
+    monkeypatch.setattr("abcf.attractor.truncated_orbits", no_orbit)
+    monkeypatch.setattr("abcf.cycles.orbit", no_orbit)
+    code, out = run_cli(["verify", "--a", "-0.7", "--b", "0.8"], capsys)
+    assert code == 2
+    assert json.loads(out) == {"error": "ConstructionError",
+                               "message": "attractor construction requires exact parameters"}
+
+
+@pytest.mark.parametrize("a, b", [("-1.0", "1.0"), ("0.0", "2.0"), ("-3.0", "0.0")])
+def test_verify_float_degenerate_pairs(a, b, capsys):
+    # the explicit domain, as for `attractor`; every suite passes on it
+    code, out = run_cli(["verify", "--a", a, "--b", b, "--suite", "all",
+                         "--n-points", "2000", "--grid", "10"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["finiteness"] == {"finite": True, "failed_endpoint": None}
+    assert payload["connectivity"]["ok"] and payload["bijectivity"]["ok"]
+    assert payload["oracle"]["inside_fraction"] >= 0.999
+    assert payload["reduction"]["coverage"] == 1.0
+    assert payload["ok"]
 
 
 def _assert_json_error(capsys, args, status, error):

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from abcf.cycles import detect_cycle, finiteness_check, orbit, truncated_orbits
+from abcf.cycles import detect_cycle, orbit, truncated_orbits
 from abcf.mobius import IDENTITY, S, T, T_INV
 from abcf.params import Params, interior_rational_params
 from abcf.scalars import Surd, as_float
@@ -146,12 +146,25 @@ def test_shift_consequence_flags_agree():
 def test_finiteness_interior_rationals():
     rng = np.random.default_rng(17)
     for p in interior_rational_params(rng, 10):
-        assert finiteness_check(p, cap=10_000).finite
-    assert finiteness_check(Params.make("-1", "1")).finite
+        assert truncated_orbits(p, cap=10_000).finite
+    assert truncated_orbits(Params.make("-1", "1")).finite
 
 
 def test_finiteness_golden():
-    assert finiteness_check(GOLDEN_B, cap=1_000).finite  # periodic orbits are finite
+    assert truncated_orbits(GOLDEN_B, cap=1_000).finite  # periodic orbits are finite
+
+
+def test_degenerate_pairs_are_finite():
+    # verify reports "finite" from the explicit domain of a degenerate pair
+    # without running its orbits; they do resolve, on every degenerate pair
+    # of P with denominators <= 6 and 1 <= |endpoint| <= 6, and on the surds
+    ends = sorted({Fraction(n, d) for d in range(1, 7) for n in range(d, 6 * d + 1)})
+    phi = Surd.make(1, 1, 2, 5)  # (1 + sqrt 5)/2
+    pairs = [Params(Fraction(0), e) for e in ends] + [Params(-e, Fraction(0)) for e in ends]
+    pairs += [Params.make("-1", "1"), Params(Fraction(0), phi), Params(-phi, Fraction(0))]
+    assert all(p.degenerate for p in pairs)
+    for p in pairs:
+        assert truncated_orbits(p).finite, (p.a, p.b)
 
 
 def test_float_mode_never_claims_strength():

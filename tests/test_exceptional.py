@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from abcf.cf import evaluate_minus_cf
-from abcf.cycles import finiteness_check
+from abcf.cf import evaluate_minus_cf, expand
+from abcf.cycles import truncated_orbits
 from abcf.exceptional import (
     SubstitutionScheme,
     admissible_prefix,
     base_length,
+    base_value,
     exceptional_b,
     parse_plan,
     run_plan,
@@ -16,7 +17,7 @@ from abcf.exceptional import (
     triangle_region,
     vertex_value,
 )
-from abcf.mobius import minus_cf_matrix
+from abcf.mobius import S, minus_cf_matrix
 from abcf.params import Params
 from abcf.scalars import Surd, as_float, bounds, cmp_exact
 
@@ -166,6 +167,16 @@ def test_base_length_positive_and_closed_form():
     assert bounds(L, 80)[1] < width0
 
 
+def test_generation_0_base_is_base_value():
+    # triangle() reads every generation's base as -(0, A, overline(B)); at
+    # generation 0 that is base_value((m,), m), surd for surd
+    for m in range(3, 11):
+        lo = SubstitutionScheme.initial(m).triangle().b_lo
+        want = base_value((m,), m)
+        assert isinstance(lo, Surd) and isinstance(want, Surd)
+        assert (lo.p, lo.q, lo.r, lo.d) == (want.p, want.q, want.r, want.d)
+
+
 def test_exceptional_b_early_stop():
     plan = [("case1", 2)] * 6
     enc = exceptional_b(3, plan, target_width=1e-6)
@@ -184,9 +195,12 @@ def test_exceptional_midpoint_fails_finiteness():
     plan = [("case1", 2), ("case1", 3), ("case1", 2), ("case1", 2), ("case1", 3)]
     enc = exceptional_b(3, plan, target_width=1e-60)
     b = enc.b_mid
-    rep = finiteness_check(Params(b - 1, b), cap=400)
-    assert not rep.finite
-    assert rep.digit_values is not None and len(rep.digit_values) == 2
+    p = Params(b - 1, b)
+    tro = truncated_orbits(p, cap=400)
+    assert not tro.finite
+    # the unresolved endpoint's digits take two consecutive values
+    endpoint = p.a if tro.cycle_a.classification == "undetermined" else p.b
+    assert len(set(expand(S.apply(endpoint), p, 60).digits[1:])) == 2
 
 
 @pytest.mark.parametrize(
