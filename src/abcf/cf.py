@@ -208,13 +208,6 @@ def evaluate_minus_cf(preperiod: Sequence[int], period: Sequence[int] = ()) -> E
     return minus_cf_matrix(preperiod).apply(tail) if preperiod else tail
 
 
-def evaluate_expansion(exp: CFExpansion) -> ExtReal:
-    """Value of an expansion as produced by :func:`expand`."""
-    if exp.periodic:
-        return evaluate_minus_cf(exp.head(), exp.tail())
-    return evaluate_finite_minus_cf(exp.digits)
-
-
 def bounded_digit_interval(
     m: int, digits: Sequence[int]
 ) -> tuple[ExtReal, ExtReal, Fraction]:

@@ -11,6 +11,7 @@ verification failure; errors are reported as one JSON object
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -80,11 +81,12 @@ def _emit(payload: dict, args) -> None:
 
 
 def _config_echo(args) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     ap = _Parser(prog="abcf", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -157,10 +159,11 @@ def main(argv=None) -> int:
     p.add_argument("--window", type=float, default=4.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_plot)
+    return ap
 
-    if argv is None:
-        argv = sys.argv[1:]
-    args = ap.parse_args(_join_negative_values(argv))
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ParamError as exc:

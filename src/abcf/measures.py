@@ -105,11 +105,6 @@ def mu_mass(params: Params) -> float:
     return _mu_cdf(math.inf, terms, strip_measure)
 
 
-def mu_cdf(x: float, params: Params) -> float:
-    """Exact piecewise-log distribution function of the x-marginal."""
-    return _mu_cdf(x, _mu_terms(params), norm_const(params))
-
-
 def _mu_cdf(x: float, terms: tuple, C: float) -> float:
     total = 0.0
     for lo, hi, c in terms:

@@ -190,15 +190,17 @@ def time_to_trap(
 def F_step_array(xs: np.ndarray, ys: np.ndarray, params: Params) -> tuple[np.ndarray, np.ndarray]:
     """One reduction-map step on parallel float coordinate arrays, by the
     rule of rho: T where y < a, S on a <= y < b, and T^-1 otherwise (y >= b,
-    y = +inf, y NaN).  Both coordinates get the +-1/0 shift of T and T^-1;
-    S then overwrites the points whose shift is 0."""
+    y = +inf, y NaN).  Both coordinates get the shift k = +1, 0, -1 of the
+    branch (int8 views of the masks); the S points, gathered by index, then
+    get -1/x and -1/y.  No masked ufunc runs."""
     a, b = as_float(params.a), as_float(params.b)
-    shift = (ys < a).astype(float) - ~(ys < b)
-    mid = shift == 0
+    k = (ys < a).view(np.int8) - (~(ys < b)).view(np.int8)
+    shift = k.astype(np.float64)
     nx, ny = xs + shift, ys + shift
+    mid = np.flatnonzero(k == 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.copyto(nx, -1.0 / xs, where=mid)
-        np.copyto(ny, -1.0 / ys, where=mid)
+        nx[mid] = -1.0 / xs[mid]
+        ny[mid] = -1.0 / ys[mid]
     return nx, ny
 
 

@@ -256,17 +256,27 @@ class Surd:
 
     # -- numeric views ---------------------------------------------------
 
+    def _ends(self, bits: int) -> tuple[int, int, int]:
+        """The numerators of bounds(bits), low end first, and their denominator."""
+        n, p, q = isqrt(self.d << (2 * bits)), self.p << bits, self.q
+        lo, hi = (n, n + 1) if q > 0 else (n + 1, n)
+        return p + q * lo, p + q * hi, self.r << bits
+
     def bounds(self, bits: int = 64) -> tuple[Fraction, Fraction]:
         """Certified rational enclosure of the value, width |q|/r * 2**-bits,
         from n/2**bits <= sqrt(d) < (n+1)/2**bits with n = isqrt(d * 4**bits)."""
-        n = isqrt(self.d << (2 * bits))
-        p, q, den = self.p << bits, self.q, self.r << bits
-        lo, hi = (n, n + 1) if q > 0 else (n + 1, n)
-        return Fraction(p + q * lo, den), Fraction(p + q * hi, den)
+        lo, hi, den = self._ends(bits)
+        return Fraction(lo, den), Fraction(hi, den)
 
     def __float__(self) -> float:
-        lo, hi = self.bounds(64)
-        return float((lo + hi) / 2)
+        """The value correctly rounded, however much p and q*sqrt(d) cancel:
+        bounds(bits) is refined until its ends round to one float (int / int
+        rounds correctly) and share a sign."""
+        for bits in (64 << k for k in range(15)):  # up to 2**20 bits
+            lo, hi, den = self._ends(bits)
+            if lo / den == hi / den and (lo < 0) == (hi < 0):
+                return lo / den
+        raise PrecisionError(f"float of {self!r} undecided")  # pragma: no cover
 
 
 Scalar = Union[Fraction, Surd, float]

@@ -122,6 +122,12 @@ def test_connectivity_report_and_negative_control():
     bad = RectDomain(dom.params, dom.upper, bad_lower, dom.x_a, dom.x_b, orbits=dom.orbits)
     rep = verify_connectivity(bad)
     assert not rep["ok"] and rep["failures"]
+    # the construction's verdict holds only while the domain is unchanged:
+    # a copy with the corrupted steps, or the built domain corrupted in
+    # place, is checked afresh
+    assert verify_connectivity(dataclasses.replace(dom, lower=bad_lower)) == rep
+    dom.lower[2] = bad_lower[2]
+    assert verify_connectivity(dom) == rep
 
 
 def test_connectivity_named_joins_zagier():

@@ -8,7 +8,6 @@ from abcf.cf import (
     convergents,
     digit_ab,
     digit_float,
-    evaluate_expansion,
     evaluate_finite_minus_cf,
     evaluate_minus_cf,
     expand,
@@ -24,6 +23,13 @@ from abcf.scalars import INF, Surd, as_float
 H = Params.make("-1/2", "1/2")  # nearest-integer chart
 Z = Params.make("-4/5", "2/5")  # Zagier's example
 M = Params.make("-1", "0")  # minus (backward) chart
+
+
+def evaluate_expansion(exp):
+    """Value of an expansion as produced by expand."""
+    if exp.periodic:
+        return evaluate_minus_cf(exp.head(), exp.tail())
+    return evaluate_finite_minus_cf(exp.digits)
 
 
 def test_digit_examples():

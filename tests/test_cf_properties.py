@@ -11,9 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abcf.cf import evaluate_expansion, expand
+from abcf.cf import evaluate_finite_minus_cf, evaluate_minus_cf, expand
 from abcf.params import Params
 from abcf.scalars import Surd
+
+
+def evaluate_expansion(exp):
+    """Value of an expansion as produced by expand."""
+    if exp.periodic:
+        return evaluate_minus_cf(exp.head(), exp.tail())
+    return evaluate_finite_minus_cf(exp.digits)
+
 
 PAIRS = [("-1/2", "1/2"), ("-4/5", "2/5"), ("-1", "1")]
 

@@ -234,6 +234,27 @@ def test_undefined_statistics_print_as_null(args, section, key, capsys):
     assert (payload[section] if section else payload)[key] is None
 
 
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process: a usage error (status 1) and
+    # --version leave it fit for the next calls, which echo the same keys
+    from abcf.cli import _parser
+
+    for argv, status in ((["verify", "--a", "-4/5"], 1), (["--version"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == status
+    capsys.readouterr()
+    for argv, keys in (
+        (["expand", "--a", "-1/2", "--b", "1/2", "--x", "2/5"], ["x", "max_digits", "out"]),
+        (["verify", "--a", "-1", "--b", "1", "--suite", "connectivity"],
+         ["suite", "cap", "seed", "n_points", "burn_in", "grid", "out"]),
+    ):
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        assert list(json.loads(out)["config"]) == ["command", "a", "b", "eps", *keys]
+    assert _parser() is _parser()
+
+
 def test_console_entry_point():
     res = subprocess.run(
         [sys.executable, "-m", "abcf.cli", "--version"], capture_output=True, text=True
@@ -306,6 +327,32 @@ def test_verify_runs_the_orbits_at_most_once(pair, suite, calls, monkeypatch, ca
         assert list(payload) == ["config", "finiteness", "ok"]
         assert payload["finiteness"] == {"finite": False, "failed_endpoint": "a"}
         assert payload["ok"] is False
+
+
+@pytest.mark.parametrize("pair, calls, degenerate", [
+    (("-16/17", "1/17"), 2, False),  # a rejected corner candidate, then the accepted one
+    (("-1", "1"), 1, True),
+    (("0", "3/2"), 1, True),
+])
+def test_verify_runs_the_connectivity_predicate_once_per_domain(pair, calls, degenerate, monkeypatch, capsys):
+    # solve_corners runs the predicate once on each corner candidate it
+    # assembles, rejected ones first, and verify reuses its verdict on the
+    # accepted one; an explicit degenerate domain is checked by verify
+    import abcf.attractor
+
+    real, seen = abcf.attractor._disconnections, []
+
+    def counted(dom):
+        seen.append(dom)
+        return real(dom)
+
+    monkeypatch.setattr(abcf.attractor, "_disconnections", counted)
+    a, b = pair
+    code, out = run_cli(["verify", f"--a={a}", f"--b={b}", "--n-points", "2000"], capsys)
+    assert code == 0 and json.loads(out)["connectivity"] == {"ok": True, "failures": []}
+    assert len(seen) == calls == len({id(dom) for dom in seen})
+    assert [next(real(dom), None) is None for dom in seen] == [False] * (calls - 1) + [True]
+    assert all(dom.degenerate == degenerate for dom in seen)
 
 
 def test_verify_float_pair_fails_before_any_orbit(monkeypatch, capsys):

@@ -205,6 +205,71 @@ def test_F_step_array_at_zero_infinity_and_nan():
         assert _same_bits(got, want), (p, got, want)
 
 
+def _F_step_array_reference(xs, ys, params):
+    """The kernel as first written: a bool->float shift, then S by two
+    masked copies; F_step_array must return its bits."""
+    a, b = as_float(params.a), as_float(params.b)
+    shift = (ys < a).astype(float) - ~(ys < b)
+    mid = shift == 0
+    nx, ny = xs + shift, ys + shift
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.copyto(nx, -1.0 / xs, where=mid)
+        np.copyto(ny, -1.0 / ys, where=mid)
+    return nx, ny
+
+
+KERNEL_PAIRS = [
+    Z,
+    Params.make("-1/2", "golden"),
+    Params.make("0", "3/2"),
+    Params.make("-2", "0"),
+    Params.make("-1", "1"),
+    Params.make("-16/17", "1/17"),
+]
+
+
+def _edge_values(p: Params) -> list[float]:
+    """+-0, +-inf, NaN, a, b and the float neighbours of each."""
+    inf = math.inf
+    vals = [0.0, -0.0, inf, -inf, math.nan, as_float(p.a), as_float(p.b)]
+    return vals + [math.nextafter(v, t) for v in vals[:4] + vals[5:] for t in (-inf, inf)]
+
+
+def _same_step(xs: np.ndarray, ys: np.ndarray, p: Params) -> bool:
+    with np.errstate(over="ignore"):  # -1/x of a subnormal x is an infinity
+        got, want = F_step_array(xs, ys, p), _F_step_array_reference(xs, ys, p)
+    return all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_F_step_array_matches_the_masked_copy_kernel():
+    # the S points are gathered by index, so only arrays mixing the three
+    # branches exercise the gather: every pair of edge values, then random
+    # mixes of edge values and ordinary points
+    rng = np.random.default_rng(16)
+    for p in KERNEL_PAIRS:
+        edges = np.array(_edge_values(p))
+        gx, gy = (g.ravel() for g in np.meshgrid(edges, edges))
+        assert _same_step(gx, gy, p), (p.a, p.b)
+        for _ in range(20):
+            n = int(rng.integers(1, 3000))
+            xs, ys = rng.uniform(-6.0, 6.0, (2, n))
+            for arr in (xs, ys):
+                hit = rng.random(n) < 0.3
+                arr[hit] = rng.choice(edges, int(hit.sum()))
+            assert _same_step(xs, ys, p), (p.a, p.b, n)
+
+
+@pytest.mark.parametrize("seed", [3, 20])
+def test_clouds_match_the_masked_copy_kernel(monkeypatch, seed):
+    import abcf.natext as natext
+
+    new = [sample_attractor(p, 200, 10_000, seed).points for p in KERNEL_PAIRS]
+    monkeypatch.setattr(natext, "F_step_array", _F_step_array_reference)
+    old = [sample_attractor(p, 200, 10_000, seed).points for p in KERNEL_PAIRS]
+    for p, u, v in zip(KERNEL_PAIRS, new, old):
+        assert u.tobytes() == v.tobytes(), (p.a, p.b)
+
+
 def test_sample_attractor_empty():
     assert len(sample_attractor(Z, burn_in=10, n_points=0, seed=1)) == 0
 

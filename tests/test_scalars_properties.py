@@ -8,6 +8,7 @@ d*1009**2 and the value equals (p + 1009*q*sqrt(d))/r.
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
@@ -111,6 +112,25 @@ def test_cmp_exact_across_representations(pair):
 def test_floor_exact(pair, f):
     for v in (*pair, f):
         assert floor_exact(v) == int(mpmath.floor(mp(v)))
+
+
+@st.composite
+def cancelling_surds(draw):
+    """(p + q*sqrt(d))/r with p within 40 of -q*sqrt(d): the value is tiny
+    against q/r, so the two terms share most of their digits."""
+    d = draw(st.integers(2, 10**6).filter(lambda n: isqrt(n) ** 2 != n))
+    q = draw(st.integers(-(2**90), 2**90).filter(bool))
+    p = (-1 if q > 0 else 1) * isqrt(q * q * d) + draw(st.integers(-40, 40))
+    return Surd.make(p, q, draw(st.integers(1, 2**20)), d)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cancelling_surds())
+@example(Surd.make(-75925532063039488, 33954930184159232, 1, 5))
+def test_surd_float_is_correctly_rounded(x):
+    # mpmath rounds its 500-digit value to the nearest double
+    assert float(x) == float(mp(x))
+    assert float(-x) == -float(x)
 
 
 def brute_simplest(a: Fraction, b: Fraction) -> Fraction:
