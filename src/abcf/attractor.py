@@ -11,15 +11,15 @@ rationals or quadratic surds, adjacency of segments is checked by exact
 comparison, and the bijectivity of the reduction map on the domain is
 certified by an exact sweep over the y-cuts of the domain and its images:
 in every band between two consecutive cuts the images' x-intervals must
-chain exactly across the domain's (at most two half-lines).  Only when a
-band fails is the exact cell grid built, to count and measure the defects.
+chain exactly across the domain's (at most two half-lines).  A band that
+fails counts and measures its own defect cells on the x-cuts of all the
+boxes; no grid of the whole domain is built.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Literal, Optional
@@ -528,15 +528,6 @@ def _ranks(values: list[Bound]) -> tuple[list[Bound], list[int]]:
     return cuts, ranks
 
 
-def _grid(boxes: list[Box]) -> tuple[list[Bound], list[Bound], list[tuple[range, range]]]:
-    """The exact grid (xs, ys) of all box sides, and the columns and rows
-    of the cells that tile each box; cell (i, j) is [xs[i], xs[i+1]] x
-    [ys[j], ys[j+1]]."""
-    xs, xr = _ranks([v for b in boxes for v in (b.x_lo, b.x_hi)])
-    ys, yr = _ranks([v for b in boxes for v in (b.y_lo, b.y_hi)])
-    return xs, ys, [(range(*xr[k : k + 2]), range(*yr[k : k + 2])) for k in range(0, len(xr), 2)]
-
-
 def _row_tiles(pieces: list[Box], images: list[Box]) -> bool:
     """Whether the images, sorted by x_lo, chain exactly across each of the
     domain's pieces, sorted and disjoint, with no image left over."""
@@ -557,22 +548,23 @@ def _row_tiles(pieces: list[Box], images: list[Box]) -> bool:
     return next(rest, None) is None
 
 
-def _sweep_tiles(domain: tuple[Box, ...], images: list[Box]) -> bool:
-    """Whether the images tile the domain, band by band between consecutive
-    y-cuts of all the boxes: then every cell of the exact grid is covered
-    once, by the domain and by the images alike.  A band holds the domain's
-    pieces and the images across it, each by ascending x_lo."""
+def _bands(
+    domain: tuple[Box, ...], images: list[Box]
+) -> tuple[list[Bound], list[tuple[list[Box], list[Box]]]]:
+    """The y-cuts of all the boxes, and the band between each two
+    consecutive cuts: the domain's pieces and the images across it, each by
+    ascending x_lo."""
     tagged = _exact_sorted(
         [(0, bx) for bx in domain] + [(1, bx) for bx in images],
         lambda t: _fkey(t[1].x_lo),
         lambda t, u: cmp_bound(t[1].x_lo, u[1].x_lo),
     )
     ys, ranks = _ranks([v for _, bx in tagged for v in (bx.y_lo, bx.y_hi)])
-    rows: list[tuple[list[Box], list[Box]]] = [([], []) for _ in ys[1:]]
+    bands: list[tuple[list[Box], list[Box]]] = [([], []) for _ in ys[1:]]
     for k, (side, bx) in enumerate(tagged):
         for j in range(ranks[2 * k], ranks[2 * k + 1]):
-            rows[j][side].append(bx)
-    return all(_row_tiles(pieces, ims) for pieces, ims in rows)
+            bands[j][side].append(bx)
+    return ys, bands
 
 
 def locking_segments(dom: RectDomain) -> list[tuple[ExtReal, Bound, Bound]]:
@@ -611,51 +603,52 @@ def _branch_images(dom: RectDomain) -> tuple[Region, list[Box]]:
 
 def verify_bijectivity(dom: RectDomain) -> BijectivityReport:
     """Cut the domain along the branches of the map -- below a, on [a, b]
-    and above b -- map the three parts by T, S and T^-1, and certify
-    that the images tile the domain, by a sweep in y; a failing sweep
-    hands over to the cell grid, which counts and measures the defects."""
+    and above b -- map the three parts by T, S and T^-1, and certify by a
+    sweep in y that the images tile the domain: in every band between two
+    consecutive y-cuts they chain exactly across the domain's pieces.  Such
+    a band covers each of its cells once, by the domain and by the images
+    alike; a band that fails counts and measures its own defect cells on
+    the x-cuts of all the boxes, which are ranked only then."""
     region, images = _branch_images(dom)
-    if not _sweep_tiles(region.boxes, images):
-        return _grid_report(dom)
-    return BijectivityReport(0, 0, 0, 0.0, 0.0, locking_segments(dom), ok=True)
-
-
-def _grid_report(dom: RectDomain) -> BijectivityReport:
-    """The tiling checked cell by cell on the exact grid of every box side."""
-    region, images = _branch_images(dom)
-    xs, ys, spans = _grid([*region.boxes, *images])
-
-    def count_cells(spans):
-        return Counter((i, j) for cols, rows in spans for i in cols for j in rows)
-
-    domain_cells = count_cells(spans[: len(region.boxes)])
-    if any(v > 1 for v in domain_cells.values()):
-        raise ConstructionError("domain boxes overlap; staircase is malformed")
-    image_cells = count_cells(spans[len(region.boxes) :])
-
-    overlap = [c for c, n in image_cells.items() if n > 1 and c in domain_cells]
-    uncovered = [c for c in domain_cells if c not in image_cells]
-    escaped = [c for c in image_cells if c not in domain_cells]
-
-    def total_measure(cells):
-        tot = 0.0
-        for i, j in cells:
-            try:
-                tot += invariant_box_measure(Box(xs[i], xs[i + 1], ys[j], ys[j + 1]))
-            except ValueError:
-                tot += float("inf")
-        return tot
-
-    report = BijectivityReport(
+    ys, bands = _bands(region.boxes, images)
+    failing = [j for j, band in enumerate(bands) if not _row_tiles(*band)]
+    overlap: list[Box] = []
+    uncovered: list[Box] = []
+    escaped = 0
+    if failing:
+        boxes = [*region.boxes, *images]
+        xs, ranks = _ranks([v for bx in boxes for v in (bx.x_lo, bx.x_hi)])
+        cols = {id(bx): ranks[2 * k : 2 * k + 2] for k, bx in enumerate(boxes)}
+    for j in failing:
+        # how many domain pieces and images start (+1) and end (-1) at each x-cut
+        deltas: dict[int, list[int]] = {}
+        for side, group in enumerate(bands[j]):
+            for bx in group:
+                lo, hi = cols[id(bx)]
+                if lo < hi:
+                    deltas.setdefault(lo, [0, 0])[side] += 1
+                    deltas.setdefault(hi, [0, 0])[side] -= 1
+        cuts = sorted(deltas)
+        n_pieces = n_images = 0
+        for i0, i1 in zip(cuts, cuts[1:]):
+            n_pieces += deltas[i0][0]
+            n_images += deltas[i0][1]
+            if n_pieces > 1:
+                raise ConstructionError("domain boxes overlap; staircase is malformed")
+            if n_pieces and n_images != 1:
+                cells = [Box(xs[i], xs[i + 1], ys[j], ys[j + 1]) for i in range(i0, i1)]
+                (overlap if n_images else uncovered).extend(cells)
+            elif n_images and not n_pieces:
+                escaped += i1 - i0
+    return BijectivityReport(
         overlap_cells=len(overlap),
         uncovered_cells=len(uncovered),
-        escaped_cells=len(escaped),
-        overlap_measure=total_measure(overlap),
-        uncovered_measure=total_measure(uncovered),
+        escaped_cells=escaped,
+        overlap_measure=math.fsum(map(invariant_box_measure, overlap)),
+        uncovered_measure=math.fsum(map(invariant_box_measure, uncovered)),
         locking_segments=locking_segments(dom),
         ok=not overlap and not uncovered and not escaped,
     )
-    return report
 
 
 # -- oracle comparison and reduction scan -----------------------------------

@@ -14,7 +14,7 @@ pair that violates the finiteness condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional, Sequence
 
@@ -101,45 +101,33 @@ def triangle_region(m: int, seq: Sequence[int]) -> TriangleRegion:
     return TriangleRegion(m, seq, lo, hi, empty=cmp_exact(lo, hi) >= 0)
 
 
-@dataclass(frozen=True)
-class Block:
-    seq: tuple[int, ...]
-    role: Literal["A", "B"]
-    gen: int
-
-    def __len__(self) -> int:
-        return len(self.seq)
-
-
 @dataclass
 class SubstitutionScheme:
-    """State of the block substitution at one generation."""
+    """State of the block substitution at one generation: the digit blocks
+    A and B, and those of the generation before."""
 
     m: int
-    A: Block
-    B: Block
+    A: tuple[int, ...]
+    B: tuple[int, ...]
     sigma: Optional[tuple[int, ...]] = None
     case_tag: Optional[Case] = None  # how the current A was built
     gen: int = 0
-    history: list[tuple[Case, int]] = field(default_factory=list)
-    prev_A: Optional[Block] = None
-    prev_B: Optional[Block] = None
+    prev_A: Optional[tuple[int, ...]] = None
+    prev_B: Optional[tuple[int, ...]] = None
 
     @staticmethod
     def initial(m: int) -> "SubstitutionScheme":
         if m < 3:
             raise ValueError("m >= 3")
-        return SubstitutionScheme(
-            m, Block((m,), "A", 0), Block((m + 1,), "B", 0)
-        )
+        return SubstitutionScheme(m, (m,), (m + 1,))
 
     def _base_blocks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The blocks (A, B) of the triangle's base: the current ones at
         generation 0 and for first-kind generations, the previous ones
         for second-kind generations."""
         if self.gen == 0 or self.case_tag == "case1":
-            return self.A.seq, self.B.seq
-        return self.prev_A.seq, self.prev_B.seq
+            return self.A, self.B
+        return self.prev_A, self.prev_B
 
     def triangle(self) -> TriangleRegion:
         """Exact bounds of the generation's triangle in closed form:
@@ -147,10 +135,8 @@ class SubstitutionScheme:
         blocks."""
         A, B = self._base_blocks()
         lo = -evaluate_minus_cf([0, *A], list(B))
-        hi = vertex_value(self.A.seq)
-        return TriangleRegion(
-            self.m, self.A.seq, lo, hi, empty=cmp_exact(lo, hi) >= 0
-        )
+        hi = vertex_value(self.A)
+        return TriangleRegion(self.m, self.A, lo, hi, empty=cmp_exact(lo, hi) >= 0)
 
 
 def substitution_step(
@@ -163,26 +149,18 @@ def substitution_step(
         raise ValueError("second-kind steps need multiplicity >= 1")
     A, B, m = scheme.A, scheme.B, scheme.m
     if next_case == "case1":
-        newA = Block(A.seq * multiplicity + B.seq, "A", scheme.gen + 1)
-        newB = Block(A.seq * (multiplicity - 1) + B.seq, "B", scheme.gen + 1)
+        newA = A * multiplicity + B
+        newB = A * (multiplicity - 1) + B
     else:
-        newA = Block(A.seq + B.seq * multiplicity, "A", scheme.gen + 1)
-        newB = Block(A.seq + B.seq * (multiplicity + 1), "B", scheme.gen + 1)
+        newA = A + B * multiplicity
+        newB = A + B * (multiplicity + 1)
 
     if scheme.gen == 0:
         sigma = (m,) * multiplicity if next_case == "case1" else (m,)
     elif scheme.case_tag == "case1":
-        sigma = (
-            A.seq * (multiplicity - 1) + scheme.sigma
-            if next_case == "case1"
-            else scheme.sigma
-        )
+        sigma = A * (multiplicity - 1) + scheme.sigma if next_case == "case1" else scheme.sigma
     else:
-        sigma = (
-            A.seq * multiplicity + scheme.sigma
-            if next_case == "case1"
-            else A.seq + scheme.sigma
-        )
+        sigma = A * multiplicity + scheme.sigma if next_case == "case1" else A + scheme.sigma
 
     return SubstitutionScheme(
         m=m,
@@ -191,7 +169,6 @@ def substitution_step(
         sigma=sigma,
         case_tag=next_case,
         gen=scheme.gen + 1,
-        history=scheme.history + [(next_case, multiplicity)],
         prev_A=A,
         prev_B=B,
     )
@@ -221,7 +198,7 @@ def admissible_prefix(
     emitted digits is nonempty (they nest, so this certifies the chain).
     """
     schemes = run_plan(m, plan, depth)
-    prefix = schemes[-1].A.seq
+    prefix = schemes[-1].A
     if check_prefixes:
         for j in range(1, len(prefix) + 1):
             if triangle_region(m, prefix[:j]).empty:
@@ -291,7 +268,7 @@ def exceptional_b(
                 mid,
                 tri.width,
                 L_f,
-                scheme.A.seq,
+                scheme.A,
                 scheme.gen,
             )
     raise ValueError(f"target width {target_width} not reached within the plan")

@@ -50,7 +50,7 @@ def _gauss_domain(
         boxes.append(Box(y0, y1, h, 0.0) if below else Box(y0, y1, 0.0, h))
         terms.append((y0, y1, -as_float(X)))
     terms = tuple(terms)
-    strip_measure = sum(invariant_box_measure(bx) for bx in strip)
+    strip_measure = math.fsum(invariant_box_measure(bx) for bx in strip)
     return Region(tuple(boxes)), terms, _mu_cdf(math.inf, terms, 1.0), strip_measure
 
 
@@ -177,7 +177,7 @@ def _digit_array(xs: np.ndarray, params: Params) -> np.ndarray:
     """cf.digit_float of -1/x, elementwise: the same eps-snapped cuts
     (d >= -eps is abs(d) <= eps or d > 0) and the same snapped floor."""
     a, b, eps = as_float(params.a), as_float(params.b), params.eps
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ys = -1.0 / xs
         below, above = ys - a < -eps, ys - b >= -eps
         d = np.where(below, ys - a, ys - b)
@@ -188,7 +188,7 @@ def _digit_array(xs: np.ndarray, params: Params) -> np.ndarray:
 
 def F_hat_array(xs: np.ndarray, ys: np.ndarray, params: Params) -> tuple[np.ndarray, np.ndarray]:
     n = _digit_array(xs, params)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         nx = -1.0 / xs - n
         ny = -1.0 / (ys - n)
     keep = xs != 0.0

@@ -10,9 +10,9 @@ independent cross-check for the constructed domain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log
 from typing import Optional
 
 import numpy as np
@@ -27,6 +27,7 @@ from .scalars import (
     Infinity,
     as_float,
     cmp_bound,
+    is_exact,
 )
 
 
@@ -198,7 +199,7 @@ def F_step_array(xs: np.ndarray, ys: np.ndarray, params: Params) -> tuple[np.nda
     shift = k.astype(np.float64)
     nx, ny = xs + shift, ys + shift
     mid = np.flatnonzero(k == 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         nx[mid] = -1.0 / xs[mid]
         ny[mid] = -1.0 / ys[mid]
     return nx, ny
@@ -261,26 +262,34 @@ def sample_attractor(params: Params, burn_in: int, n_points: int, seed: int) -> 
 
 
 def invariant_box_measure(box: Box) -> float:
-    """du dw/(w-u)^2 over an off-diagonal box, in closed form.
+    """du dw/(w-u)^2 over a box, in closed form; infinite when the box
+    meets the diagonal or is unbounded toward it at both ends.
 
-    For finite corners this is log((x2-y2)(x1-y1)/((x2-y1)(x1-y2))); a
-    single unbounded side drops its (cancelling) terms, while a box
-    unbounded toward the diagonal at both ends has infinite measure.
+    For finite corners this is log((x2-y2)(x1-y1)/((x2-y1)(x1-y2))), taken
+    as log1p(wx wy/(d D)) with d and D the distances |x - y| of the corners
+    nearest to and farthest from the diagonal, so that no logs cancel.  The
+    widths wx = x2-x1 and wy = y2-y1 are exact (the sides of each axis
+    share one field), d and D floats.  A box with one unbounded side has
+    D = oo and measure log1p(w/d), w the width along its other axis.
     """
     x1, x2, y1, y2 = box.floats()
-    if not (x1 >= y2 or x2 <= y1):
-        raise ValueError("box meets the diagonal")
-    if (x2 == float("inf") and y1 == float("-inf")) or (
-        x1 == float("-inf") and y2 == float("inf")
-    ):
-        return float("inf")
-    val = 0.0
-    for xc, sx in ((x2, 1.0), (x1, -1.0)):
-        for yc, sy in ((y2, 1.0), (y1, -1.0)):
-            if np.isinf(xc) or np.isinf(yc):
-                continue  # log(x - y) terms at an unbounded side cancel
-            val += sx * sy * log(abs(xc - yc))
-    return val
+    below = x1 >= y2
+    d = x1 - y2 if below else y1 - x2
+    if not d > 0:
+        return math.inf
+    if math.isinf(x1) or math.isinf(x2):
+        return math.log1p(_width(box.y_lo, box.y_hi) / d)
+    if math.isinf(y1) or math.isinf(y2):
+        return math.log1p(_width(box.x_lo, box.x_hi) / d)
+    D = x2 - y1 if below else y2 - x1
+    return math.log1p(_width(box.x_lo, box.x_hi) * _width(box.y_lo, box.y_hi) / (d * D))
+
+
+def _width(lo: Bound, hi: Bound) -> float:
+    """hi - lo, exact when both sides are."""
+    if is_exact(lo) and is_exact(hi):
+        return as_float(hi - lo)
+    return as_float(hi) - as_float(lo)
 
 
 def map_interval(m: Mobius, lo: Bound, hi: Bound) -> list[tuple[Bound, Bound]]:

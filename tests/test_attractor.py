@@ -3,6 +3,7 @@ import functools
 import gc
 import math
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from abcf import attractor
 from abcf.attractor import (
+    BijectivityReport,
     ConstructionError,
     RectDomain,
     Step,
@@ -22,11 +24,11 @@ from abcf.attractor import (
     verify_connectivity,
     _exact_sorted,
     _fkey,
-    _grid_report,
+    _ranks,
 )
 from abcf.cycles import truncated_orbits
 from abcf.exceptional import exceptional_b, parse_plan
-from abcf.natext import F_step_array, sample_attractor, trapping_region
+from abcf.natext import Box, F_step_array, invariant_box_measure, sample_attractor, trapping_region
 from abcf.params import ParamError, Params, interior_rational_params
 from abcf.scalars import NEG_INF, POS_INF, Surd, as_float, cmp_bound
 
@@ -36,8 +38,6 @@ Z = Params.make("-4/5", "2/5")
 
 def column_boxes(dom):
     """Steps as closed column boxes (x_lo, x_hi, y_lo, y_hi)."""
-    from abcf.natext import Box
-
     cols = [Box(s.x_lo, s.x_hi, s.y, POS_INF) for s in dom.upper]
     cols += [Box(s.x_lo, s.x_hi, NEG_INF, s.y) for s in dom.lower]
     return sorted(b.floats() for b in cols)
@@ -196,6 +196,40 @@ def _corrupted(dom):
                 yield dataclasses.replace(dom, **{side: [*steps[:i], moved, *steps[i + 1 :]]})
 
 
+def _grid_report(dom):
+    """The reference for verify_bijectivity: the tiling checked cell by cell
+    on the exact grid of every box side, over the whole domain."""
+    region, images = attractor._branch_images(dom)
+    boxes = [*region.boxes, *images]
+    xs, xr = _ranks([v for b in boxes for v in (b.x_lo, b.x_hi)])
+    ys, yr = _ranks([v for b in boxes for v in (b.y_lo, b.y_hi)])
+
+    def count_cells(ks):
+        spans = [(range(*xr[2 * k : 2 * k + 2]), range(*yr[2 * k : 2 * k + 2])) for k in ks]
+        return Counter((i, j) for cols, rows in spans for i in cols for j in rows)
+
+    domain_cells = count_cells(range(len(region.boxes)))
+    if any(v > 1 for v in domain_cells.values()):
+        raise ConstructionError("domain boxes overlap; staircase is malformed")
+    image_cells = count_cells(range(len(region.boxes), len(boxes)))
+    overlap = [c for c, n in image_cells.items() if n > 1 and c in domain_cells]
+    uncovered = [c for c in domain_cells if c not in image_cells]
+    escaped = [c for c in image_cells if c not in domain_cells]
+
+    def cell_measure(i, j):
+        return invariant_box_measure(Box(xs[i], xs[i + 1], ys[j], ys[j + 1]))
+
+    return BijectivityReport(
+        overlap_cells=len(overlap),
+        uncovered_cells=len(uncovered),
+        escaped_cells=len(escaped),
+        overlap_measure=math.fsum(cell_measure(*c) for c in overlap),
+        uncovered_measure=math.fsum(cell_measure(*c) for c in uncovered),
+        locking_segments=attractor.locking_segments(dom),
+        ok=not overlap and not uncovered and not escaped,
+    )
+
+
 def test_sweep_agrees_with_the_grid(monkeypatch):
     # every pair of P with denominators <= 4, and its corruptions: the
     # report equals the cell grid's, the failing ones cell for cell
@@ -228,18 +262,50 @@ def test_sweep_agrees_with_the_grid(monkeypatch):
             assert not rep["ok"] and rep == _grid_report(dom).to_json(), (p.a, p.b)
 
 
-def test_no_grid_when_the_tiling_holds(monkeypatch):
-    def no_grid(boxes):
-        raise AssertionError("cell grid built")
-
-    monkeypatch.setattr(attractor, "_grid", no_grid)
+def _near_exceptional_b():
+    """The generation-3 rational next to the exceptional set (926 levels)."""
     m, plan = parse_plan("m=3;1x2,1x3,1x2,1x2,1x3,1x2,1x2,1x3")
-    b = exceptional_b(m, plan, 1e-10).b_mid
+    return exceptional_b(m, plan, 1e-10).b_mid
+
+
+def test_no_grid_when_the_tiling_holds(monkeypatch):
+    # a passing tiling ranks only its y-cuts: the x-cuts are ranked for the
+    # defects of failing bands alone
+    calls = []
+
+    def counted(values):
+        calls.append(len(values))
+        return _ranks(values)
+
+    monkeypatch.setattr(attractor, "_ranks", counted)
+    b = _near_exceptional_b()
     k = 53
     for p, levels in ((Params(Fraction(1, k) - 1, Fraction(1, k)), 422), (Params(b - 1, b), 926)):
         dom = build_attractor(p)
         assert len(dom.upper) + len(dom.lower) == levels
+        calls.clear()
         assert verify_bijectivity(dom).ok
+        assert len(calls) == 1
+        s = dom.lower[2]
+        dom.lower[2] = dataclasses.replace(s, x_lo=s.x_lo + Fraction(1, 100))
+        calls.clear()
+        assert not verify_bijectivity(dom).ok
+        assert calls == [calls[0], calls[0]]  # the y sides, then the x sides
+
+
+def test_bijectivity_reports_a_near_exceptional_gap():
+    # the generation-3 pair with lower[2] moved right: 12 thin cells are
+    # left uncovered, of measure 1.6678428449669783e-13 by mpmath at 200
+    # digits; the four logs of the closed form, added, gave 1.66755e-13
+    b = _near_exceptional_b()
+    dom = build_attractor(Params(b - 1, b))
+    s = dom.lower[2]
+    dom.lower[2] = dataclasses.replace(s, x_lo=s.x_lo + Fraction(1, 100))
+    rep = verify_bijectivity(dom)
+    assert not rep.ok
+    assert (rep.overlap_cells, rep.uncovered_cells, rep.escaped_cells) == (0, 12, 12)
+    assert rep.overlap_measure == 0.0
+    assert rep.uncovered_measure == pytest.approx(1.6678428449669783e-13, rel=1e-12)
 
 
 def test_overlapping_domain_rows_raise():

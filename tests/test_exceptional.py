@@ -79,10 +79,10 @@ def test_fixed_point_residual_exact():
 def test_substitution_step_blocks():
     s = SubstitutionScheme.initial(3)
     s1 = substitution_step(s, "case1", 2)
-    assert s1.A.seq == (3, 3, 4) and s1.B.seq == (3, 4)
+    assert s1.A == (3, 3, 4) and s1.B == (3, 4)
     assert s1.sigma == (3, 3)
     s1b = substitution_step(s, "case2", 1)
-    assert s1b.A.seq == (3, 4) and s1b.B.seq == (3, 4, 4)
+    assert s1b.A == (3, 4) and s1b.B == (3, 4, 4)
     assert s1b.sigma == (3,)
 
 
@@ -135,7 +135,7 @@ def test_lexicographic_value_order():
 def test_tail_dominance():
     plan = [("case1", 2), ("case2", 2), ("case1", 3)]
     for sch in run_plan(3, plan)[1:]:
-        A = sch.A.seq
+        A = sch.A
         for i in range(1, len(A)):
             tail = A[i:]
             k = min(len(tail), len(A))

@@ -1,11 +1,16 @@
 import math
 import random
+import warnings
 from math import log
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from abcf.measures import F_hat_array
 from abcf.mobius import S, T, T_INV
 from abcf.natext import (
     Box,
@@ -20,7 +25,7 @@ from abcf.natext import (
     trapping_region,
 )
 from abcf.params import Params
-from abcf.scalars import INF, NEG_INF, POS_INF, as_float
+from abcf.scalars import INF, NEG_INF, POS_INF, Surd, as_float
 
 
 Z = Params.make("-4/5", "2/5")
@@ -236,9 +241,23 @@ def _edge_values(p: Params) -> list[float]:
 
 
 def _same_step(xs: np.ndarray, ys: np.ndarray, p: Params) -> bool:
+    got = F_step_array(xs, ys, p)
     with np.errstate(over="ignore"):  # -1/x of a subnormal x is an infinity
-        got, want = F_step_array(xs, ys, p), _F_step_array_reference(xs, ys, p)
+        want = _F_step_array_reference(xs, ys, p)
     return all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_kernels_take_a_subnormal_x_without_warnings():
+    # -1/x of the least subnormal overflows to an infinity, as a division by
+    # +-0 does; neither the reduction map nor the Gauss map warns of it
+    tiny = math.nextafter(0.0, 1.0)
+    xs, ys = np.array([tiny, -tiny, 0.0]), np.array([0.1, 0.1, 0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nx, _ = F_step_array(xs, ys, Z)
+        hx, _ = F_hat_array(xs, ys, Z)
+    assert nx.tolist() == [-math.inf, math.inf, -math.inf]
+    assert hx[0] == -math.inf and hx[1] == math.inf
 
 
 def test_F_step_array_matches_the_masked_copy_kernel():
@@ -332,6 +351,48 @@ def test_invariant_box_measure_values():
     ref, _ = dblquad(lambda w, u: 1 / (w - u) ** 2, -3, -1, 0.5, 2)
     assert ref > 0
     assert invariant_box_measure(box) == pytest.approx(ref, rel=1e-9)
+    # a box across the diagonal, or touching it at a corner, has infinite measure
+    assert invariant_box_measure(Box(-one, one, Fraction(0), two)) == math.inf
+    assert invariant_box_measure(Box(one, two, Fraction(0), one)) == math.inf
+    assert invariant_box_measure(Box(one, POS_INF, NEG_INF, Fraction(0))) == math.inf
+
+
+def _mp(v) -> mpmath.mpf:
+    if isinstance(v, Surd):
+        return (v.p + v.q * mpmath.sqrt(v.d)) / v.r
+    return mpmath.mpf(v.numerator) / v.denominator
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    y2=st.integers(-1000, 1000),
+    near=st.integers(10, 1000),
+    ex=st.integers(0, 300),
+    ey=st.integers(0, 300),
+    surd=st.booleans(),
+    above=st.booleans(),
+    unbounded=st.sampled_from([None, "x", "y"]),
+)
+def test_invariant_box_measure_of_thin_boxes(y2, near, ex, ey, surd, above, unbounded):
+    # a box below the diagonal, x1 - y2 >= 1/10 from it, with widths down
+    # to 2^-300 and possibly one side at infinity; swapping the axes puts
+    # it above the diagonal with the same measure.  x sides may lie in
+    # Q(sqrt 2); mpmath at 250 digits takes the four logs of the closed form
+    y2 = Fraction(y2, 100)
+    x1 = y2 + Fraction(near, 100) + (Surd.make(0, 1, 1, 2) if surd else 0)
+    wx, wy = Fraction(3, 2**ex), Fraction(5, 2**ey)
+    x2, y1 = x1 + wx, y2 - wy
+    with mpmath.workdps(250):
+        X1, X2, Y1, Y2 = (_mp(v) for v in (x1, x2, y1, y2))
+        if unbounded == "x":
+            x2, ref = POS_INF, mpmath.log((X1 - Y1) / (X1 - Y2))
+        elif unbounded == "y":
+            y1, ref = NEG_INF, mpmath.log((X2 - Y2) / (X1 - Y2))
+        else:
+            ref = mpmath.log((X2 - Y2) * (X1 - Y1) / ((X2 - Y1) * (X1 - Y2)))
+        ref = float(ref)
+    box = Box(y1, y2, x1, x2) if above else Box(x1, x2, y1, y2)
+    assert invariant_box_measure(box) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_map_interval_S():
