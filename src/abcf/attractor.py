@@ -12,8 +12,8 @@ comparison, and the bijectivity of the reduction map on the domain is
 certified by an exact sweep over the y-cuts of the domain and its images:
 in every band between two consecutive cuts the images' x-intervals must
 chain exactly across the domain's (at most two half-lines).  A band that
-fails counts and measures its own defect cells on the x-cuts of all the
-boxes; no grid of the whole domain is built.
+fails counts its own defect cells on the x-cuts of all the boxes and
+measures each run of them as one box; no grid of the domain is built.
 """
 
 from __future__ import annotations
@@ -572,19 +572,10 @@ def locking_segments(dom: RectDomain) -> list[tuple[ExtReal, Bound, Bound]]:
     if dom.orbits is None or dom.x_a is None or dom.x_b is None:
         return []
     out = []
-    for res, a_side in ((dom.orbits.cycle_a, True), (dom.orbits.cycle_b, False)):
-        if res.classification != "strong":
-            continue
-        w = res.end_word_lower
-        if a_side:
-            s, e = w.apply(dom.x_a), w.apply(INF)
-        else:
-            s, e = w.apply(INF), w.apply(dom.x_b)
-        lo: Bound = NEG_INF if isinstance(s, Infinity) else s
-        hi: Bound = POS_INF if isinstance(e, Infinity) else e
-        if not isinstance(s, Infinity) and not isinstance(e, Infinity) and cmp_bound(s, e) > 0:
-            lo, hi = e, s
-        out.append((res.end, lo, hi))
+    for res, chain in ((dom.orbits.cycle_a, "La"), (dom.orbits.cycle_b, "Lb")):
+        if res.classification == "strong":
+            s = _segment(LevelEntry(res.end, res.end_word_lower, chain, 0), dom.x_a, dom.x_b)
+            out.append((res.end, s.x_lo, s.x_hi))
     return out
 
 
@@ -607,14 +598,13 @@ def verify_bijectivity(dom: RectDomain) -> BijectivityReport:
     sweep in y that the images tile the domain: in every band between two
     consecutive y-cuts they chain exactly across the domain's pieces.  Such
     a band covers each of its cells once, by the domain and by the images
-    alike; a band that fails counts and measures its own defect cells on
-    the x-cuts of all the boxes, which are ranked only then."""
+    alike; a band that fails counts its own defect cells on the x-cuts of
+    all the boxes, ranked only then, and measures each run of them once."""
     region, images = _branch_images(dom)
     ys, bands = _bands(region.boxes, images)
     failing = [j for j, band in enumerate(bands) if not _row_tiles(*band)]
-    overlap: list[Box] = []
-    uncovered: list[Box] = []
-    escaped = 0
+    cells = [0, 0, 0]  # overlap, uncovered, escaped
+    runs: tuple[list[Box], list[Box]] = ([], [])  # the overlap and the uncovered runs
     if failing:
         boxes = [*region.boxes, *images]
         xs, ranks = _ranks([v for bx in boxes for v in (bx.x_lo, bx.x_hi)])
@@ -636,18 +626,17 @@ def verify_bijectivity(dom: RectDomain) -> BijectivityReport:
             if n_pieces > 1:
                 raise ConstructionError("domain boxes overlap; staircase is malformed")
             if n_pieces and n_images != 1:
-                cells = [Box(xs[i], xs[i + 1], ys[j], ys[j + 1]) for i in range(i0, i1)]
-                (overlap if n_images else uncovered).extend(cells)
+                defect = 0 if n_images else 1
+                runs[defect].append(Box(xs[i0], xs[i1], ys[j], ys[j + 1]))
+                cells[defect] += i1 - i0
             elif n_images and not n_pieces:
-                escaped += i1 - i0
+                cells[2] += i1 - i0
     return BijectivityReport(
-        overlap_cells=len(overlap),
-        uncovered_cells=len(uncovered),
-        escaped_cells=escaped,
-        overlap_measure=math.fsum(map(invariant_box_measure, overlap)),
-        uncovered_measure=math.fsum(map(invariant_box_measure, uncovered)),
+        *cells,
+        overlap_measure=math.fsum(map(invariant_box_measure, runs[0])),
+        uncovered_measure=math.fsum(map(invariant_box_measure, runs[1])),
         locking_segments=locking_segments(dom),
-        ok=not overlap and not uncovered and not escaped,
+        ok=not any(cells),
     )
 
 
@@ -750,21 +739,18 @@ def reduction_scan(dom: RectDomain, grid: int, cap: int = 10_000) -> ScanReport:
     xs, ys = xs[keep], ys[keep]
     n = len(xs)
     hit_time = np.full(n, -1, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    done = dom.contains_array(xs, ys, ORACLE_TOL)
-    hit_time[done] = 0
-    active &= ~done
-    t = 0
-    while active.any() and t < cap:
-        t += 1
-        # x may legitimately pass through the point at infinity (IEEE
-        # signed infinities realize the projective transit); only a y
-        # stuck at infinity (rational termination) never resolves
-        xs[active], ys[active] = F_step_array(xs[active], ys[active], params)
-        done = np.zeros(n, dtype=bool)
-        done[active] = dom.contains_array(xs[active], ys[active], ORACLE_TOL)
-        hit_time[done] = t
-        active &= ~done
+    idx = np.arange(n)  # the grid index of each point not yet in the domain
+    for t in range(cap + 1):
+        if t:
+            # x may legitimately pass through the point at infinity (IEEE
+            # signed infinities realize the projective transit); only a y
+            # stuck at infinity (rational termination) never resolves
+            xs, ys = F_step_array(xs, ys, params)
+        done = dom.contains_array(xs, ys, ORACLE_TOL)
+        hit_time[idx[done]] = t
+        xs, ys, idx = xs[~done], ys[~done], idx[~done]
+        if not len(idx):
+            break
     resolved = hit_time >= 0
     coverage = float(resolved.mean())
     max_time = int(hit_time[resolved].max()) if resolved.any() else 0

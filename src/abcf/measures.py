@@ -32,13 +32,12 @@ from .scalars import POS_INF, as_float
 
 
 @functools.lru_cache(maxsize=64)
-def _gauss_domain(
-    params: Params,
-) -> tuple[Region, tuple[tuple[float, float, float], ...], float, float]:
+def _gauss_domain(params: Params) -> tuple[Region, tuple[tuple[float, float, float], ...], float]:
     """The strip's boxes in Gauss-map coordinates, those of the lower
     component (y <= 0) first, each part by ascending x; the x-marginal's
-    terms (y0, y1, -X) in the same order; their mass K; and K again, as
-    the invariant measure of the strip's boxes in the original coordinates."""
+    terms (y0, y1, -X) in the same order; and K, the invariant measure of
+    the strip's boxes in the original coordinates: the terms' mass, up to
+    rounding."""
     if params.is_a0 or params.is_b0:
         raise ValueError("the invariant measure is infinite when a = 0 or b = 0")
     strip = build_attractor(params).region().clip(params.a, params.b).boxes
@@ -49,9 +48,7 @@ def _gauss_domain(
         y0, y1, h = as_float(bx.y_lo), as_float(bx.y_hi), as_float(-1 / X)
         boxes.append(Box(y0, y1, h, 0.0) if below else Box(y0, y1, 0.0, h))
         terms.append((y0, y1, -as_float(X)))
-    terms = tuple(terms)
-    strip_measure = math.fsum(invariant_box_measure(bx) for bx in strip)
-    return Region(tuple(boxes)), terms, _mu_cdf(math.inf, terms, 1.0), strip_measure
+    return Region(tuple(boxes)), tuple(terms), math.fsum(map(invariant_box_measure, strip))
 
 
 def norm_const(params: Params) -> float:
@@ -99,10 +96,10 @@ def nu_mass(params: Params) -> float:
 
 
 def mu_mass(params: Params) -> float:
-    """The x-marginal's mass over the strip's box measure, which does not
-    read the marginal's terms: 1 up to rounding."""
-    _, terms, _, strip_measure = _gauss_domain(params)
-    return _mu_cdf(math.inf, terms, strip_measure)
+    """The x-marginal's mass over K, the strip's box measure, which does
+    not read the marginal's terms: 1 up to rounding."""
+    _, terms, K = _gauss_domain(params)
+    return _mu_cdf(math.inf, terms, K)
 
 
 def _mu_cdf(x: float, terms: tuple, C: float) -> float:
@@ -204,7 +201,7 @@ def invariance_check(params: Params, n_points: int, seed: int) -> float:
         return float("nan")
     pts = sample_nu(params, n_points, seed)
     xs, ys = F_hat_array(pts[:, 0], pts[:, 1], params)
-    dom, terms, C, _ = _gauss_domain(params)
+    dom, terms, C = _gauss_domain(params)
     return max(_ks(xs, lambda v: _mu_cdf(v, terms, C)), _ks(ys, lambda v: _nu_y_cdf(v, dom.boxes, C)))
 
 

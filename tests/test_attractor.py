@@ -293,17 +293,26 @@ def test_no_grid_when_the_tiling_holds(monkeypatch):
         assert calls == [calls[0], calls[0]]  # the y sides, then the x sides
 
 
-def test_bijectivity_reports_a_near_exceptional_gap():
+def test_bijectivity_reports_a_near_exceptional_gap(monkeypatch):
     # the generation-3 pair with lower[2] moved right: 12 thin cells are
     # left uncovered, of measure 1.6678428449669783e-13 by mpmath at 200
-    # digits; the four logs of the closed form, added, gave 1.66755e-13
+    # digits; the four logs of the closed form, added, gave 1.66755e-13.
+    # The cells form one run, measured as one box
     b = _near_exceptional_b()
     dom = build_attractor(Params(b - 1, b))
     s = dom.lower[2]
     dom.lower[2] = dataclasses.replace(s, x_lo=s.x_lo + Fraction(1, 100))
+    measured = []
+
+    def counted(box):
+        measured.append(box)
+        return invariant_box_measure(box)
+
+    monkeypatch.setattr(attractor, "invariant_box_measure", counted)
     rep = verify_bijectivity(dom)
     assert not rep.ok
     assert (rep.overlap_cells, rep.uncovered_cells, rep.escaped_cells) == (0, 12, 12)
+    assert len(measured) == 1
     assert rep.overlap_measure == 0.0
     assert rep.uncovered_measure == pytest.approx(1.6678428449669783e-13, rel=1e-12)
 

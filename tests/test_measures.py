@@ -182,8 +182,8 @@ def test_invariance_check_is_pinned():
     # the KS statistic as the one-call-per-grid-point version computed it
     pinned = [
         (("-7/10", "4/5"), 4, 0.00748016934668938),
-        (("-1", "1/2"), 9, 0.004491636640809038),
-        (("-3/5", "3/4"), 2, 0.006415995186359047),
+        (("-1", "1/2"), 9, 0.004491636640808927),
+        (("-3/5", "3/4"), 2, 0.006415995186359158),
     ]
     for ab, seed, want in pinned:
         assert invariance_check(Params.make(*ab), 20_000, seed) == want
@@ -209,17 +209,31 @@ def test_mu_mass():
 
 
 def test_mu_mass_checks_the_marginal_terms(monkeypatch):
-    # one wrong corner in the marginal's terms; K, their mass, moves with
-    # them, the strip's box measure does not
+    # one wrong corner in the marginal's terms; K, the strip's box measure,
+    # does not read them
     real = measures._gauss_domain
 
     def corrupted(params):
-        dom, ((lo, hi, c), *terms), _, *rest = real(params)
-        terms = ((lo, hi, 1.1 * c), *terms)
-        return (dom, terms, measures._mu_cdf(math.inf, terms, 1.0), *rest)
+        dom, ((lo, hi, c), *terms), K = real(params)
+        return dom, ((lo, hi, 1.1 * c), *terms), K
 
     monkeypatch.setattr(measures, "_gauss_domain", corrupted)
     assert abs(mu_mass(SIMPLE) - 1) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "ab, R",
+    [
+        (("-4/5", "2/5"), Fraction(14, 5)),
+        (("-6/5", "1/3"), Fraction(16, 5)),
+        (("-5/6", "3/5"), Fraction(44, 15)),
+    ],
+)
+def test_norm_const_is_log_R_within_an_ulp(ab, R):
+    # K = log R, R the product of the strip boxes' cross-ratios
+    C = norm_const(Params.make(*ab))
+    with mpmath.workdps(60):
+        assert abs(mpmath.mpf(C) - mpmath.log(mpmath.mpf(R.numerator) / R.denominator)) <= math.ulp(C)
 
 
 def test_mu_is_y_marginal_of_nu():
