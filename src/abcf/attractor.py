@@ -51,7 +51,6 @@ from .scalars import (
     cmp_bound,
     cmp_exact,
     format_scalar,
-    is_exact,
 )
 
 
@@ -319,47 +318,28 @@ def _disconnections(dom: RectDomain) -> Iterator[str]:
 # -- the corner system ----------------------------------------------------
 
 
-def _solve_pair(
-    e_l: LevelEntry, e_u: LevelEntry, params: Params
-) -> list[tuple[ExtReal, ExtReal]]:
-    """Candidate (x_a, x_b) solutions for a chosen (y_ell, y_u) pair
-    (S is its own inverse in PSL(2,Z))."""
-    wl, wu = e_l.word, e_u.word
-    sols: list[tuple[ExtReal, ExtReal]] = []
-    if not e_l.a_anchored and not e_u.a_anchored:
-        # both equations decouple through the fixed (infinity) ends
-        x_b = S.apply(wl.apply(INF))
-        x_a = S.apply(wu.apply(x_b))
-        sols.append((x_a, x_b))
-    elif not e_l.a_anchored and e_u.a_anchored:
-        x_b = S.apply(wl.apply(INF))
-        x_a = S.apply(wu.apply(INF))
-        sols.append((x_a, x_b))
-    elif e_l.a_anchored and e_u.a_anchored:
-        x_a = S.apply(wu.apply(INF))
-        x_b = S.apply(wl.apply(x_a))
-        sols.append((x_a, x_b))
+def _solve_pair(e_l: LevelEntry, e_u: LevelEntry) -> list[tuple[ExtReal, ExtReal]]:
+    """Candidate (x_a, x_b) solutions for a chosen (y_ell, y_u) pair: x_b =
+    wl(oo) when y_ell is b-anchored, else wl(x_a); x_a = wu(oo) when y_u is
+    a-anchored, else wu(x_b), with wl = S @ (y_ell's word) and likewise wu (S
+    is its own inverse in PSL(2,Z)).  Candidates with an infinite end drop."""
+    wl, wu = S @ e_l.word, S @ e_u.word
+    if not e_l.a_anchored:
+        x_b = wl.apply(INF)
+        sols = [(wu.apply(INF if e_u.a_anchored else x_b), x_b)]
+    elif e_u.a_anchored:
+        x_a = wu.apply(INF)
+        sols = [(x_a, wl.apply(x_a))]
     else:
-        # coupled: x_a is a fixed point of S wu S wl
-        m = S @ wu @ S @ wl
+        # coupled: x_a is a fixed point of wu @ wl, the attracting one first
+        m = wu @ wl
         cls = m.classify()
         if cls == "hyperbolic":
-            att, rep = m.fixed_points()
-            roots = [att, rep]
-        elif cls == "parabolic":
-            roots = [m.parabolic_fixed_point()]
+            roots = m.fixed_points()
         else:
-            return []
-        for x_a in roots:
-            if isinstance(x_a, Infinity):
-                continue
-            x_b = S.apply(wl.apply(x_a))
-            sols.append((x_a, x_b))
-    return [
-        (xa, xb)
-        for xa, xb in sols
-        if not isinstance(xa, Infinity) and not isinstance(xb, Infinity)
-    ]
+            roots = [m.parabolic_fixed_point()] if cls == "parabolic" else []
+        sols = [(x_a, wl.apply(x_a)) for x_a in roots]
+    return [s for s in sols if not any(isinstance(x, Infinity) for x in s)]
 
 
 def _nearest(
@@ -401,9 +381,7 @@ def solve_corners(params: Params, tro: TruncatedOrbits) -> RectDomain:
     failures: list[str] = []
     for e_l in _nearest(lower_entries, sb_entry, params, 1):
         for e_u in uppers:
-            for x_a, x_b in _solve_pair(e_l, e_u, params):
-                if not is_exact(x_a) or not is_exact(x_b):
-                    continue
+            for x_a, x_b in _solve_pair(e_l, e_u):
                 if params.cmp(x_a, 1) < 0 or params.cmp(x_b, -1) > 0:
                     failures.append(
                         f"({e_l.origin},{e_u.origin}): corner bounds fail "

@@ -124,67 +124,35 @@ def cycle_strength(upper_word: Mobius, lower_word: Mobius) -> Classification:
 def detect_cycle(params: Params, which: Literal["a", "b"], cap: int = 100_000) -> CycleResult:
     """Run both orbits of one endpoint to a repeat (or the cap), then take
     the meeting that minimizes the longer side; without a meeting the
-    endpoint is periodic (both orbits closed up) or undetermined."""
+    endpoint is periodic (both orbits closed up) or undetermined.  The
+    record starts undetermined and is filled in as far as its case reaches."""
     if cap < 1:
         raise ValueError("cap >= 1")
     lo = orbit(params, f"{which}_lower", cap)
     up = orbit(params, f"{which}_upper", cap)
-    up_seed, lo_seed = _SEEDS[f"{which}_upper"], _SEEDS[f"{which}_lower"]
-
-    lo_index = {state_key(v): i for i, v in enumerate(lo.values)}
-    meet: Optional[tuple[int, int]] = None  # (upper index, lower index)
-    for j, v in enumerate(up.values):
-        k = state_key(v)
-        if k in lo_index:
-            i = lo_index[k]
-            if meet is None or max(j, i) < max(meet):
-                meet = (j, i)
-    if meet is not None:
-        j, i = meet
-        end = up.values[j]
-        upper_words = _transport(up_seed, up.gens, j + 1)
-        lower_words = _transport(lo_seed, lo.gens, i + 1)
-        upper_word, lower_word = upper_words.pop(), lower_words.pop()
-        if params.exact:
-            cls = cycle_strength(upper_word, lower_word)
-        else:
-            cls = "undetermined"
-        return CycleResult(
-            which,
-            cls,
-            end=end,
-            upper_steps=j,
-            lower_steps=i,
-            upper_side=up.values[:j],
-            lower_side=lo.values[:i],
-            upper_words=upper_words,
-            lower_words=lower_words,
-            end_word_upper=upper_word,
-            end_word_lower=lower_word,
-            cycle_word=lower_word.inverse() @ upper_word,
-            approximate=not params.exact,
-            upper_orbit=up,
-            lower_orbit=lo,
-        )
-    if lo.repeated_at is not None and up.repeated_at is not None:
-        return CycleResult(
-            which,
-            "periodic_no_cycle",
-            upper_side=up.values,
-            lower_side=lo.values,
-            upper_words=_transport(up_seed, up.gens, len(up.values)),
-            lower_words=_transport(lo_seed, lo.gens, len(lo.values)),
-            approximate=not params.exact,
-            upper_orbit=up,
-            lower_orbit=lo,
-        )
-    return CycleResult(
-        which,
-        "undetermined",
-        approximate=not params.exact,
-        upper_orbit=up,
-        lower_orbit=lo,
+    res = CycleResult(
+        which, "undetermined", approximate=not params.exact, upper_orbit=up, lower_orbit=lo
     )
+    lo_index = {state_key(v): i for i, v in enumerate(lo.values)}
+    meets = [(j, lo_index[k]) for j, v in enumerate(up.values) if (k := state_key(v)) in lo_index]
+    if meets:
+        j, i = min(meets, key=max)  # (upper index, lower index); the first on a tie
+        res.end, res.upper_steps, res.lower_steps = up.values[j], j, i
+        res.upper_side, res.lower_side = up.values[:j], lo.values[:i]
+    elif lo.repeated_at is not None and up.repeated_at is not None:
+        res.classification = "periodic_no_cycle"
+        res.upper_side, res.lower_side = up.values, lo.values
+    else:
+        return res
+    met = res.end is not None  # then the words run on to the end value
+    res.upper_words = _transport(_SEEDS[f"{which}_upper"], up.gens, len(res.upper_side) + met)
+    res.lower_words = _transport(_SEEDS[f"{which}_lower"], lo.gens, len(res.lower_side) + met)
+    if met:
+        res.end_word_upper, res.end_word_lower = res.upper_words.pop(), res.lower_words.pop()
+        res.cycle_word = res.end_word_lower.inverse() @ res.end_word_upper
+        if params.exact:
+            res.classification = cycle_strength(res.end_word_upper, res.end_word_lower)
+    return res
 
 
 @dataclass

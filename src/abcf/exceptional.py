@@ -24,7 +24,6 @@ from .scalars import (
     as_float,
     bounds,
     cmp_exact,
-    format_scalar,
     midpoint_rational,
 )
 
@@ -57,17 +56,6 @@ class TriangleRegion:
         lo = bounds(self.b_lo, 96)
         hi = bounds(self.b_hi, 96)
         return float(hi[1] - lo[0])
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "seq": list(self.seq),
-            "b_lo": format_scalar(self.b_lo),
-            "b_hi": format_scalar(self.b_hi),
-            "b_lo_float": as_float(self.b_lo),
-            "b_hi_float": as_float(self.b_hi),
-            "empty": self.empty,
-        }
 
 
 def triangle_region(m: int, seq: Sequence[int]) -> TriangleRegion:

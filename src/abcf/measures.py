@@ -37,7 +37,8 @@ def _gauss_domain(params: Params) -> tuple[Region, tuple[tuple[float, float, flo
     component (y <= 0) first, each part by ascending x; the x-marginal's
     terms (y0, y1, -X) in the same order; and K, the invariant measure of
     the strip's boxes in the original coordinates: the terms' mass, up to
-    rounding."""
+    rounding.  A ValueError refuses a pair whose float corners are not
+    finite or meet the pole 1 + xy = 0 of the density."""
     if params.is_a0 or params.is_b0:
         raise ValueError("the invariant measure is infinite when a = 0 or b = 0")
     strip = build_attractor(params).region().clip(params.a, params.b).boxes
@@ -45,9 +46,14 @@ def _gauss_domain(params: Params) -> tuple[Region, tuple[tuple[float, float, flo
     for bx in sorted(strip, key=lambda bx: bx.x_hi is not POS_INF):  # keeps each part's order
         below = bx.x_hi is POS_INF
         X = bx.x_lo if below else bx.x_hi
-        y0, y1, h = as_float(bx.y_lo), as_float(bx.y_hi), as_float(-1 / X)
+        y0, y1, x, h = as_float(bx.y_lo), as_float(bx.y_hi), as_float(X), as_float(-1 / X)
+        if not all(map(math.isfinite, (y0, y1, x))) or min(1 + y0 * h, 1 + y1 * h) <= 0:
+            raise ValueError(
+                f"({params.a}, {params.b}): a corner of the Gauss-map domain is not "
+                "finite or has 1 + xy <= 0 in floats"
+            )
         boxes.append(Box(y0, y1, h, 0.0) if below else Box(y0, y1, 0.0, h))
-        terms.append((y0, y1, -as_float(X)))
+        terms.append((y0, y1, -x))
     return Region(tuple(boxes)), tuple(terms), math.fsum(map(invariant_box_measure, strip))
 
 

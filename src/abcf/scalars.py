@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import floor, gcd, isqrt
+from math import copysign, floor, gcd, isqrt
 from typing import Iterator, Union
 
 
@@ -302,10 +302,14 @@ def _enclosures(*xs: Scalar, bits: int = 64, top: int = 1 << 20) -> Iterator[lis
 
 
 def as_float(x: ExtReal | Bound) -> float:
-    """Float view of a scalar or bound; INF and POS_INF give inf, NEG_INF -inf."""
+    """Float view of a scalar or bound; INF and POS_INF give inf, NEG_INF
+    -inf, and a value beyond float range the infinity of its sign."""
     if x is INF:
         return float("inf")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        return copysign(float("inf"), cmp_exact(x, 0))
 
 
 def is_exact(x: object) -> bool:

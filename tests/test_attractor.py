@@ -86,6 +86,24 @@ def test_hurwitz_chart_golden_corners():
     assert dom.x_a == g and dom.x_b == -g
 
 
+@pytest.mark.parametrize(
+    "a, b, levels, corners",
+    [
+        # a b-anchored lower level fixes x_b; the upper level then gives x_a
+        ("-1", "1/2", ("Lb[1]", "Ub[2]"), (2, -1)),
+        # both levels a-anchored: the upper one fixes x_a, the lower gives x_b
+        ("-1/2", "1", ("La[2]", "Ua[1]"), (1, -2)),
+        # coupled: x_a is the attracting fixed point of a hyperbolic word
+        ("-1/2", "1/2", ("La[2]", "Ub[2]"), (Surd.make(1, 1, 2, 5), Surd.make(-1, -1, 2, 5))),
+    ],
+)
+def test_corners_of_each_solve_branch(a, b, levels, corners):
+    dom = build_attractor(Params.make(a, b))
+    assert (dom.x_a, dom.x_b) == corners
+    entries = {e.origin: e for e in sum(attractor._entries(dom.orbits), [])}
+    assert attractor._solve_pair(entries[levels[0]], entries[levels[1]])[0] == corners
+
+
 def test_level_multiset_identity():
     rng = np.random.default_rng(19)
     for p in interior_rational_params(rng, 8):

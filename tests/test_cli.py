@@ -136,6 +136,38 @@ def test_measures_rejects_infinite_and_float_pairs(ab, status, error, capsys):
         assert payload["message"] == "the invariant measure is infinite when a = 0 or b = 0"
 
 
+def test_levels_beyond_float_range_print_null(capsys):
+    # (-1/10^400, 10^400) lies in P (-ab = 1); its b-cycle has the level
+    # 10^400 - 1.  Its orbits meet within a few steps but never repeat, so a
+    # small cap keeps the runs short
+    big = 10**400
+    code = main(["attractor", "--a", f"-1/{big}", "--b", str(big), "--cap", "100"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    steps = json.loads(captured.out)["upper"]
+    assert [s["y_float"] for s in steps if s["y"] == str(big - 1)] == [None, None]
+    code = main(["verify", "--a", f"-1/{big}", "--b", str(big), "--cap", "100",
+                 "--n-points", "500", "--grid", "8"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == "" and json.loads(captured.out)["ok"] is True
+
+
+@pytest.mark.parametrize("e", [20, 400])
+def test_measures_refuses_a_gauss_domain_beyond_floats(e, monkeypatch, capsys):
+    # at 10^20 the strip box [1, oo) x [-10^-20, 1 - 10^-20] has y1 = 1.0 in
+    # floats, so its Gauss-map corner (1.0, -1.0) sits on the pole 1 + xy = 0;
+    # at 10^400 a corner is infinite.  The orbits never repeat: cap them at 100
+    from abcf import attractor, measures
+
+    monkeypatch.setattr(measures, "build_attractor", lambda p: attractor.build_attractor(p, 100))
+    big = 10**e
+    code = main(["measures", "--a", f"-1/{big}", "--b", str(big), "--n-points", "1000"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["error"] == "ValueError" and "Gauss-map domain" in payload["message"]
+
+
 @pytest.mark.parametrize("ab", [("-4/5", "2/5"), ("-1/2", "1/2"), ("-16/17", "1/17")], ids=",".join)
 def test_measures_off_the_simple_case(ab, capsys):
     code, out = run_cli(["measures", "--a", ab[0], "--b", ab[1], "--n-points", "20000"], capsys)

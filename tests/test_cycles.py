@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 from abcf.cycles import detect_cycle, orbit, truncated_orbits
+from abcf.exceptional import exceptional_b
 from abcf.mobius import IDENTITY, S, T, T_INV
 from abcf.params import Params, interior_rational_params
 from abcf.scalars import Surd, as_float
@@ -212,3 +213,37 @@ def test_cycle_word_multiplies_out_beyond_512_tokens():
     for t in tokens:  # application order
         m = {"T": T, "T'": T_INV, "S": S}[t] @ m
     assert m.psl_eq(res.cycle_word)
+
+
+
+def test_cycle_records_of_each_shape():
+    # the b of test_exceptional_midpoint_fails_finiteness: no cycle at cap 400
+    plan = [("case1", 2), ("case1", 3), ("case1", 2), ("case1", 2), ("case1", 3)]
+    b = exceptional_b(3, plan, target_width=1e-60).b_mid
+    cases = [
+        (Params.make("-4/5", "2/5"), "b", 100_000, "strong"),
+        (Params.make("-3/5", "1/2"), "b", 100_000, "weak"),
+        (GOLDEN_B, "b", 100_000, "periodic_no_cycle"),
+        (Params(b - 1, b), "a", 400, "undetermined"),
+        (Params.make(-0.8, 0.4), "b", 100_000, "undetermined"),
+    ]
+    records = []
+    for p, which, cap, cls in cases:
+        res = detect_cycle(p, which, cap)
+        records.append(res)
+        assert res.classification == cls
+        endpoint = p.a if which == "a" else p.b
+        for side, words in ((res.upper_side, res.upper_words), (res.lower_side, res.lower_words)):
+            assert len(words) == len(side)
+            if p.exact:
+                assert [w.apply(endpoint) for w in words] == side
+        assert (res.upper_steps is None) == (res.lower_steps is None) == (res.end is None)
+        assert res.upper_orbit is not None and res.lower_orbit is not None
+    # the exact unresolved endpoint keeps both orbits, run to the cap, and no sides
+    res = records[3]
+    assert res.upper_side == res.lower_side == res.upper_words == res.lower_words == []
+    assert len(res.upper_orbit.values) == len(res.lower_orbit.values) == 401
+    # a float pair whose orbits meet keeps the whole record, strength unclaimed
+    res = records[4]
+    assert (len(res.upper_side), len(res.lower_side)) == (res.upper_steps, res.lower_steps) == (5, 3)
+    assert abs(res.end - 2) < 1e-12 and res.to_json()["word"] is not None
