@@ -23,14 +23,7 @@ from .cf import (
     f_hat_step,
     f_step,
 )
-from .cycles import (
-    CycleResult,
-    TruncatedOrbits,
-    cycle_strength,
-    detect_cycle,
-    orbit,
-    truncated_orbits,
-)
+from .cycles import CycleResult, TruncatedOrbits, detect_cycle, truncated_orbits
 from .exceptional import (
     SubstitutionScheme,
     TriangleRegion,

@@ -8,6 +8,8 @@ according to its own side: lower orbits take the branch from just below
 T^-1 at b).  The two orbits of one endpoint either meet (a cycle, strong
 when the composed word over the cycle acts as the identity), are both
 eventually periodic without meeting, or remain unresolved at the cap.
+They are walked in lockstep and stop where this is decided: at the first
+meeting, once both have closed on a repeat, or at the cap.
 """
 
 from __future__ import annotations
@@ -21,14 +23,8 @@ from .natext import rho
 from .params import Params
 from .scalars import ExtReal, as_float, format_scalar
 
-SeedKind = Literal["a_lower", "a_upper", "b_lower", "b_upper"]
-
-_SEEDS: dict[SeedKind, Mobius] = {
-    "a_lower": T,
-    "a_upper": S,
-    "b_lower": S,
-    "b_upper": T_INV,
-}
+#: the maps carrying each endpoint to the first (upper, lower) orbit values
+_SEEDS = {"a": (S, T), "b": (T_INV, S)}
 
 #: generator names for reported words; -S is S in PSL(2,Z)
 _NAMES = {T: "T", T_INV: "T'", S: "S", S.inverse(): "S"}
@@ -36,11 +32,12 @@ _NAMES = {T: "T", T_INV: "T'", S: "S", S.inverse(): "S"}
 
 @dataclass
 class OrbitRecord:
-    """One truncated forward orbit: gens[i] maps values[i] to values[i+1]."""
+    """One truncated forward orbit: gens[i] maps values[i] to values[i+1].
+    It is closed once its next value would repeat one of its own."""
 
     values: list[ExtReal]
     gens: list[Mobius] = field(default_factory=list)
-    repeated_at: Optional[int] = None  # index whose value re-occurred
+    closed: bool = False
 
 
 def _transport(seed_map: Mobius, gens: list[Mobius], n: int) -> list[Mobius]:
@@ -51,28 +48,19 @@ def _transport(seed_map: Mobius, gens: list[Mobius], n: int) -> list[Mobius]:
     return words
 
 
-def orbit(params: Params, seed: SeedKind, cap: int = 100_000) -> OrbitRecord:
-    """Iterate f from the seed, stopping at cap or at a state repeat."""
-    if cap < 1:
-        raise ValueError("cap >= 1")
-    endpoint = params.a if seed.startswith("a") else params.b
-    rec = OrbitRecord([_SEEDS[seed].apply(endpoint)])
-    seen = {state_key(rec.values[0]): 0}
-    lower = seed.endswith("lower")
-    for _ in range(cap):
-        v = rec.values[-1]
-        g = rho(v, params, from_below=lower)
-        nxt = g.apply(v)
-        rec.gens.append(g)
-        rec.values.append(nxt)
-        k = state_key(nxt)
-        if k in seen:
-            rec.repeated_at = seen[k]
-            rec.values.pop()  # truncate at first repeat
-            rec.gens.pop()
-            return rec
-        seen[k] = len(rec.values) - 1
-    return rec
+def _step(rec: OrbitRecord, index: dict, params: Params, from_below: bool):
+    """Extend the orbit by one value, indexed under its state key; returns
+    the key, or None (closing the orbit) when the value repeats."""
+    g = rho(rec.values[-1], params, from_below=from_below)
+    nxt = g.apply(rec.values[-1])
+    k = state_key(nxt)
+    if k in index:
+        rec.closed = True
+        return None
+    index[k] = len(rec.values)
+    rec.values.append(nxt)
+    rec.gens.append(g)
+    return k
 
 
 Classification = Literal["strong", "weak", "periodic_no_cycle", "undetermined"]
@@ -99,8 +87,9 @@ class CycleResult:
     def word_names(self) -> str:
         """The cycle word in application order: the upper transport, then
         the inverse of the lower one; T' is T^-1."""
-        up = [_SEEDS[f"{self.which}_upper"], *self.upper_orbit.gens[: self.upper_steps]]
-        lo = [_SEEDS[f"{self.which}_lower"], *self.lower_orbit.gens[: self.lower_steps]]
+        up_seed, lo_seed = _SEEDS[self.which]
+        up = [up_seed, *self.upper_orbit.gens[: self.upper_steps]]
+        lo = [lo_seed, *self.lower_orbit.gens[: self.lower_steps]]
         names = [_NAMES[g] for g in up] + [_NAMES[g.inverse()] for g in reversed(lo)]
         return " ".join(names)
 
@@ -116,48 +105,55 @@ class CycleResult:
         }
 
 
-def cycle_strength(upper_word: Mobius, lower_word: Mobius) -> Classification:
-    """Strong iff the two transported words agree as transformations."""
-    return "strong" if upper_word.psl_eq(lower_word) else "weak"
-
-
 def detect_cycle(params: Params, which: Literal["a", "b"], cap: int = 100_000) -> CycleResult:
-    """Run both orbits of one endpoint to a repeat (or the cap), then take
-    the meeting that minimizes the longer side; without a meeting the
-    endpoint is periodic (both orbits closed up) or undetermined.  The
-    record starts undetermined and is filled in as far as its case reaches."""
+    """Walk both orbits of one endpoint in lockstep, one step each, until
+    they meet, both close on a repeat, or cap steps are made.  At step n
+    the new lower value is looked up among the upper values first: of the
+    meetings (j, i) with max(j, i) = n that finds the least j, so the
+    meeting taken minimizes the longer side, then the upper side.
+    Without a meeting the endpoint is periodic (both orbits closed) or
+    undetermined.  The record starts undetermined and is filled in as far
+    as its case reaches."""
     if cap < 1:
         raise ValueError("cap >= 1")
-    lo = orbit(params, f"{which}_lower", cap)
-    up = orbit(params, f"{which}_upper", cap)
+    endpoint = params.a if which == "a" else params.b
+    up, lo = (OrbitRecord([seed.apply(endpoint)]) for seed in _SEEDS[which])
     res = CycleResult(
         which, "undetermined", approximate=not params.exact, upper_orbit=up, lower_orbit=lo
     )
-    lo_index = {state_key(v): i for i, v in enumerate(lo.values)}
-    meets = [(j, lo_index[k]) for j, v in enumerate(up.values) if (k := state_key(v)) in lo_index]
-    if meets:
-        j, i = min(meets, key=max)  # (upper index, lower index); the first on a tie
-        res.end, res.upper_steps, res.lower_steps = up.values[j], j, i
-        res.upper_side, res.lower_side = up.values[:j], lo.values[:i]
-    elif lo.repeated_at is not None and up.repeated_at is not None:
-        res.classification = "periodic_no_cycle"
-        res.upper_side, res.lower_side = up.values, lo.values
-    else:
-        return res
+    ku, kl = state_key(up.values[0]), state_key(lo.values[0])
+    up_index, lo_index = {ku: 0}, {kl: 0}
+    for n in range(cap + 1):  # a closed orbit's key is None, which no index holds
+        if kl in up_index or ku in lo_index:
+            j, i = (up_index[kl], n) if kl in up_index else (n, lo_index[ku])
+            res.end, res.upper_steps, res.lower_steps = up.values[j], j, i
+            res.upper_side, res.lower_side = up.values[:j], lo.values[:i]
+            break
+        if up.closed and lo.closed:
+            res.classification = "periodic_no_cycle"
+            res.upper_side, res.lower_side = up.values, lo.values
+            break
+        if n == cap:
+            return res
+        ku = None if up.closed else _step(up, up_index, params, from_below=False)
+        kl = None if lo.closed else _step(lo, lo_index, params, from_below=True)
     met = res.end is not None  # then the words run on to the end value
-    res.upper_words = _transport(_SEEDS[f"{which}_upper"], up.gens, len(res.upper_side) + met)
-    res.lower_words = _transport(_SEEDS[f"{which}_lower"], lo.gens, len(res.lower_side) + met)
+    up_seed, lo_seed = _SEEDS[which]
+    res.upper_words = _transport(up_seed, up.gens, len(res.upper_side) + met)
+    res.lower_words = _transport(lo_seed, lo.gens, len(res.lower_side) + met)
     if met:
         res.end_word_upper, res.end_word_lower = res.upper_words.pop(), res.lower_words.pop()
         res.cycle_word = res.end_word_lower.inverse() @ res.end_word_upper
-        if params.exact:
-            res.classification = cycle_strength(res.end_word_upper, res.end_word_lower)
+        if params.exact:  # strong iff the two words agree as transformations
+            strong = res.end_word_upper.psl_eq(res.end_word_lower)
+            res.classification = "strong" if strong else "weak"
     return res
 
 
 @dataclass
 class TruncatedOrbits:
-    """The level data (value, transport word) of the four truncated orbits."""
+    """The level data (value, transport word) of the four truncated orbits.
+    If a's cycle is unresolved, b is not walked and cycle_b has no orbits."""
 
     la: list[tuple[ExtReal, Mobius]]
     ua: list[tuple[ExtReal, Mobius]]
@@ -183,10 +179,12 @@ def _truncate_side(
 def truncated_orbits(params: Params, cap: int = 100_000) -> TruncatedOrbits:
     """Cycle sides (plus 0 for weak cycles), or eventually periodic orbits
     truncated at the first repeat; finiteness fails when a cycle is
-    unresolved at the cap (its sides are then empty)."""
+    unresolved at the cap (its sides are then empty).  Only the first
+    unresolved endpoint is reported, so b is walked only if a resolves."""
     ca = detect_cycle(params, "a", cap)
-    cb = detect_cycle(params, "b", cap)
-    finite = ca.classification != "undetermined" and cb.classification != "undetermined"
+    a_resolved = ca.classification != "undetermined"
+    cb = detect_cycle(params, "b", cap) if a_resolved else CycleResult("b", "undetermined")
+    finite = a_resolved and cb.classification != "undetermined"
     return TruncatedOrbits(
         la=_truncate_side(ca, "lower"),
         ua=_truncate_side(ca, "upper"),

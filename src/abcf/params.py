@@ -49,6 +49,8 @@ class Params:
         a, b = self.a, self.b
         if isinstance(a, float) != isinstance(b, float):
             raise ParamError("a and b must share one scalar backing")
+        if isinstance(a, float) and not (math.isfinite(a) and math.isfinite(b)):
+            raise ParamError(f"a and b must be finite, got a={a}, b={b}")
         try:
             width, product = b - a, a * b
         except MixedFieldError as exc:

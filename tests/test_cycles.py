@@ -1,12 +1,14 @@
 from fractions import Fraction
 
-from abcf.cycles import detect_cycle, orbit, truncated_orbits
+from abcf.attractor import ConstructionError, build_attractor
+from abcf.cycles import detect_cycle, truncated_orbits
 from abcf.exceptional import exceptional_b
 from abcf.mobius import IDENTITY, S, T, T_INV
 from abcf.params import Params, interior_rational_params
 from abcf.scalars import Surd, as_float
 
 import numpy as np
+import pytest
 
 
 GOLDEN_B = Params(Surd.make(1, -1, 2, 5), Surd.make(-1, 1, 2, 5))  # a = -b = -(sqrt5-1)/2
@@ -14,21 +16,21 @@ GOLDEN_B = Params(Surd.make(1, -1, 2, 5), Surd.make(-1, 1, 2, 5))  # a = -b = -(
 
 def test_orbit_a_upper_minus_6_5():
     p = Params.make("-6/5", "1/2")
-    rec = orbit(p, "a_upper", 50)
+    rec = detect_cycle(p, "a", 50).upper_orbit
     # Sa = 5/6, then T^-1 -> -1/6, S -> 6, T^-1 -> 5, ...
     assert rec.values[:4] == [Fraction(5, 6), Fraction(-1, 6), Fraction(6), Fraction(5)]
 
 
 def test_orbit_a_upper_degenerate_minus1():
     p = Params.make("-1", "1/2")
-    rec = orbit(p, "a_upper", 10)
+    rec = detect_cycle(p, "a", 10).upper_orbit
     assert rec.values[:2] == [Fraction(1), Fraction(0)]  # Sa = 1, T^-1 -> 0
 
 
 def test_orbit_reroute_at_a():
     # lower orbit of b hitting a continues with Ta
     p = GOLDEN_B
-    rec = orbit(p, "b_lower", 20)
+    rec = detect_cycle(p, "b", 20).lower_orbit
     a = p.a
     idx = rec.values.index(a)
     assert rec.values[idx + 1] == a + 1
@@ -177,7 +179,7 @@ def test_float_mode_never_claims_strength():
 def test_seed_at_endpoint_reroutes():
     # Sb = a exactly (a*b = -1): the lower orbit of b continues with Ta
     p = Params.make("-1/2", "2")
-    rec = orbit(p, "b_lower", 10)
+    rec = detect_cycle(p, "b", 10).lower_orbit
     assert rec.values[0] == p.a
     assert rec.values[1] == p.a + 1
     assert rec.gens[0] == T
@@ -247,3 +249,29 @@ def test_cycle_records_of_each_shape():
     res = records[4]
     assert (len(res.upper_side), len(res.lower_side)) == (res.upper_steps, res.lower_steps) == (5, 3)
     assert abs(res.end - 2) < 1e-12 and res.to_json()["word"] is not None
+
+
+def test_walk_stops_at_the_meeting():
+    # the orbits of (-1/10^400, 10^400) meet within a few steps but never
+    # repeat; nothing past the meeting is walked
+    big = 10**400
+    p = Params(Fraction(-1, big), Fraction(big))
+    for which, sides in (("a", (2, 2)), ("b", (1, 3))):
+        res = detect_cycle(p, which)
+        assert res.classification == "strong"
+        assert (res.upper_steps, res.lower_steps) == sides
+        assert len(res.upper_orbit.values) <= 4 and len(res.lower_orbit.values) <= 4
+
+
+def test_b_not_walked_once_a_fails():
+    plan = [("case1", 2), ("case1", 3), ("case1", 2), ("case1", 2), ("case1", 3)]
+    b = exceptional_b(3, plan, target_width=1e-60).b_mid
+    p = Params(b - 1, b)
+    tro = truncated_orbits(p, cap=400)
+    assert not tro.finite and tro.cycle_a.classification == "undetermined"
+    assert tro.cycle_b.classification == "undetermined"
+    assert tro.cycle_b.upper_orbit is None and tro.cycle_b.lower_orbit is None
+    assert tro.lb == tro.ub == []
+    with pytest.raises(ConstructionError) as info:
+        build_attractor(p, 400)
+    assert info.value.failed_endpoint == "a"
