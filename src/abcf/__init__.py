@@ -33,22 +33,24 @@ from .exceptional import (
     substitution_step,
     triangle_region,
 )
-from .measures import (
-    entropy_closed,
-    entropy_rokhlin,
-    invariance_check,
-    mu_density,
-    nu_density,
-)
 from .mobius import Mobius, NonHyperbolicError, S, T, T_INV
 from .natext import (
     Cloud,
-    F_step,
     Region,
     rho,
     sample_attractor,
-    time_to_trap,
     trapping_region,
 )
 from .params import ParamError, Params
 from .scalars import INF, MixedFieldError, Surd
+
+#: names re-exported from measures, which imports numpy: loaded on first use
+_MEASURES = ("entropy_closed", "entropy_rokhlin", "invariance_check")
+
+
+def __getattr__(name: str):
+    if name in _MEASURES:
+        from . import measures
+
+        return getattr(measures, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,6 +14,9 @@ in every band between two consecutive cuts the images' x-intervals must
 chain exactly across the domain's (at most two half-lines).  A band that
 fails counts its own defect cells on the x-cuts of all the boxes and
 measures each run of them as one box; no grid of the domain is built.
+The float checks against the Monte Carlo oracle (contains_array,
+compare_with_oracle, reduction_scan) import numpy on first use, so the
+construction and its proofs run without it.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Literal, Optional
-
-import numpy as np
 
 from .cycles import TruncatedOrbits, truncated_orbits
 from .mobius import Mobius, S, T, T_INV
@@ -167,6 +168,8 @@ class RectDomain:
 
     @functools.cached_property
     def _float_arrays(self):
+        import numpy as np
+
         low_levels = np.array([as_float(s.y) for s in self.lower])
         low_lefts = np.array([as_float(s.x_lo) for s in self.lower])
         up_levels = np.array([as_float(s.y) for s in self.upper])
@@ -174,6 +177,8 @@ class RectDomain:
         return low_levels, low_lefts, up_levels, up_rights
 
     def contains_array(self, xs: np.ndarray, ys: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        import numpy as np
+
         low_levels, low_lefts, up_levels, up_rights = self._float_arrays
         inside = np.zeros(xs.shape, dtype=bool)
         if len(low_levels):
@@ -645,6 +650,8 @@ SAMPLES_PER_STEP = 33
 def compare_with_oracle(dom: RectDomain, cloud: Cloud) -> OracleComparison:
     """Fraction of oracle points inside the closed domain, and the worst
     distance from the (clipped) boundary steps to the nearest point."""
+    import numpy as np
+
     pts = cloud.points
     if len(pts) == 0:
         raise ValueError("empty cloud")
@@ -675,6 +682,8 @@ def _nearest_distance(
     are measured to their nearest sample in x (a KD-tree's float), r growing
     fourfold, until the least is <= floor or <= |py - y| of the nearest point
     left out, which bounds every left-out distance, in floats too."""
+    import numpy as np
+
     r = max(floor, xs[1] - xs[0], ORACLE_TOL)
     while True:
         j0, j1 = np.searchsorted(py, y - r), np.searchsorted(py, y + r, side="right")
@@ -707,8 +716,12 @@ class ScanReport:
 def reduction_scan(dom: RectDomain, grid: int, cap: int = 10_000) -> ScanReport:
     """Iterate the reduction map from a lattice of off-diagonal points and
     report the fraction reaching the domain within the cap."""
+    if grid < 0:
+        raise ValueError("grid >= 0")
     if grid == 0:
         return ScanReport(float("nan"), 0, 0, 0)
+    import numpy as np
+
     params = dom.params
     g = np.linspace(-START_WINDOW, START_WINDOW, grid)
     xs, ys = np.meshgrid(g, g)

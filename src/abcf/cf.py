@@ -122,6 +122,8 @@ def expand(x: ExtReal, params: Params, max_digits: int = 200) -> CFExpansion:
     """
     if max_digits < 1:
         raise ValueError("max_digits >= 1")
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"x must be finite, not {x}")
     digits: list[int] = []
     if isinstance(x, Infinity):
         return CFExpansion(digits, terminated=True)

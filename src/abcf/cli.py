@@ -29,7 +29,6 @@ from .attractor import (
 from .cf import expand
 from .cycles import detect_cycle
 from .exceptional import exceptional_b, parse_plan
-from .measures import measures_report
 from .natext import sample_attractor
 from .params import ParamError, Params
 from .scalars import MixedFieldError, PrecisionError, as_float, parse_scalar
@@ -304,6 +303,8 @@ def _cmd_exceptional(args) -> int:
 
 
 def _cmd_measures(args) -> int:
+    from .measures import measures_report  # numpy loads with it, for this command only
+
     rep = measures_report(_params(args), args.n_points, _seed(args))
     _emit({"config": _config_echo(args), **rep}, args)
     return 0

@@ -68,24 +68,10 @@ def hat_domain(params: Params) -> Region:
     return _gauss_domain(params)[0]
 
 
-def nu_density(x: float, y: float, params: Params) -> float:
-    if not hat_domain(params).contains(x, y, 1e-12):
-        return 0.0
-    return 1.0 / (norm_const(params) * (1.0 + x * y) ** 2)
-
-
 def _mu_terms(params: Params) -> tuple[tuple[float, float, float], ...]:
     """(lo, hi, c) of the x-marginal's terms: the weight 1/|x + c| on
     [lo, hi], where x + c has the sign of c."""
     return _gauss_domain(params)[1]
-
-
-def mu_density(x: float, params: Params) -> float:
-    val = 0.0
-    for lo, hi, c in _mu_terms(params):
-        if lo <= x <= hi:
-            val += 1.0 / abs(x + c)
-    return val / norm_const(params)
 
 
 def _box_nu_integral(box: Box) -> float:
@@ -150,6 +136,8 @@ def sample_nu(params: Params, n: int, seed: int) -> np.ndarray:
     """Rejection-sample the invariant 2D density box by box: each round
     draws m = max(4096, 2 (n - filled)) candidates by _box_uniforms, then
     uniform(0, 1, m) for acceptance, so a seed fixes the output bits."""
+    if n < 0:
+        raise ValueError("n_points >= 0")
     dom = hat_domain(params)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     areas = np.array([(b.x_hi - b.x_lo) * (b.y_hi - b.y_lo) for b in dom.boxes])

@@ -5,7 +5,9 @@ The map applies one generator to both coordinates, chosen by the second
 coordinate: T below a, S on [a, b), T^-1 from b up (and at infinity).
 Every off-diagonal point enters the trapping region in finite time; long
 Monte Carlo runs of the map approximate the attractor and serve as an
-independent cross-check for the constructed domain.
+independent cross-check for the constructed domain.  That float layer
+(F_step_array, sample_attractor) imports numpy on first use, so the
+exact layer runs without it.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from .mobius import Mobius, S, T, T_INV
 from .params import Params
@@ -44,15 +44,6 @@ def rho(y: ExtReal, params: Params, from_below: bool = False) -> Mobius:
     if cb < 0 or (cb == 0 and from_below):
         return S
     return T_INV
-
-
-def F_step(p: tuple[ExtReal, ExtReal], params: Params) -> tuple[ExtReal, ExtReal]:
-    """One reduction-map step; rejects diagonal input."""
-    x, y = p
-    if params.eq(x, y):
-        raise ValueError("reduction map is undefined on the diagonal")
-    g = rho(y, params)
-    return g.apply(x), g.apply(y)
 
 
 # -- boxes -------------------------------------------------------------
@@ -161,30 +152,6 @@ def trapping_region(params: Params) -> Region:
     return Region(tuple(upper + lower))
 
 
-@dataclass
-class TrapResult:
-    steps: Optional[int]
-    final: tuple[ExtReal, ExtReal]
-
-
-def time_to_trap(
-    p: tuple[ExtReal, ExtReal], params: Params, cap: int = 10_000
-) -> TrapResult:
-    """Least n <= cap with F^n(p) in the trapping region."""
-    if cap < 1:
-        raise ValueError("cap >= 1")
-    theta = trapping_region(params)
-    cur = p
-    tol = 0.0 if params.exact else params.eps
-    for n in range(cap + 1):
-        if theta.contains(cur[0], cur[1], tol):
-            return TrapResult(n, cur)
-        if n == cap:
-            break
-        cur = F_step(cur, params)
-    return TrapResult(None, cur)
-
-
 # -- vectorized float dynamics ------------------------------------------
 
 
@@ -194,6 +161,8 @@ def F_step_array(xs: np.ndarray, ys: np.ndarray, params: Params) -> tuple[np.nda
     y = +inf, y NaN).  Both coordinates get the shift k = +1, 0, -1 of the
     branch (int8 views of the masks); the S points, gathered by index, then
     get -1/x and -1/y.  No masked ufunc runs."""
+    import numpy as np
+
     a, b = as_float(params.a), as_float(params.b)
     k = (ys < a).view(np.int8) - (~(ys < b)).view(np.int8)
     shift = k.astype(np.float64)
@@ -235,6 +204,10 @@ def sample_attractor(params: Params, burn_in: int, n_points: int, seed: int) -> 
     """
     if burn_in < 1:
         raise ValueError("burn_in >= 1")
+    if n_points < 0:
+        raise ValueError("n_points >= 0")
+    import numpy as np
+
     if n_points == 0:
         return Cloud(np.empty((0, 2)), 0, seed)
     streams = np.random.SeedSequence(seed).spawn(N_CHUNKS)

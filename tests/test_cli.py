@@ -254,6 +254,66 @@ def test_every_command_runs_without_scipy(tmp_path):
     _run_every_command(tmp_path, "BLOCK")
 
 
+#: a fresh interpreter runs every exact command, each a JSON record of its
+#: status, stdout and written file; with BLOCK, importing numpy raises
+#: ImportError, and without it the measures names still resolve lazily
+_EXACT_COMMANDS = """
+import contextlib, io, json, os, sys
+if "BLOCK" in sys.argv:
+    sys.modules["numpy"] = None
+import abcf, abcf.cli
+report = {"numpy_after_import": "numpy" in sys.modules, "runs": []}
+svg = os.path.join(sys.argv[1], "p.svg")
+pair = ["--a", "-4/5", "--b", "2/5"]
+runs = [
+    ["cycle", *pair, "--which", "a"],
+    ["cycle", *pair, "--which", "b"],
+    ["attractor", *pair],
+    ["attractor", "--a", "-1/2", "--b", "golden", "--format", "text"],
+    ["attractor", "--a", "-1.0", "--b", "1.0"],
+    ["attractor", "--a", "-0.5", "--b", "0.6"],
+    ["expand", *pair, "--x", "7/3"],
+    ["expand", *pair, "--x", "0.3"],
+    ["exceptional", "--plan", "m=3;1x2,1x3,1x2,1x2", "--target-width", "1e-6"],
+    ["plot", *pair, "--out", svg],
+    ["verify", *pair, "--suite", "connectivity"],
+    ["verify", *pair, "--suite", "bijectivity"],
+    ["verify", "--a", "-1.0", "--b", "1.0", "--suite", "bijectivity"],
+]
+for argv in runs:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = abcf.cli.main(argv)
+    written = open(svg).read() if argv[0] == "plot" else None
+    report["runs"].append([argv, status, out.getvalue(), written])
+report["numpy_after_runs"] = "numpy" in sys.modules
+if "BLOCK" not in sys.argv:
+    from abcf import entropy_closed, invariance_check
+    from abcf import measures
+    report["lazy_names"] = [entropy_closed is measures.entropy_closed,
+                            invariance_check is measures.invariance_check]
+print(json.dumps(report))
+"""
+
+
+def _run_exact_commands(tmp_path, *flags):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [sys.executable, "-c", _EXACT_COMMANDS, str(tmp_path), *flags]
+    return json.loads(subprocess.run(argv, capture_output=True, text=True, env=env,
+                                     check=True).stdout)
+
+
+def test_exact_commands_run_without_numpy(tmp_path):
+    plain = _run_exact_commands(tmp_path)
+    blocked = _run_exact_commands(tmp_path, "BLOCK")
+    assert plain["numpy_after_import"] is False and plain["numpy_after_runs"] is False
+    assert plain["lazy_names"] == [True, True]
+    # exit status, stdout and the plot's SVG, byte for byte
+    assert blocked["runs"] == plain["runs"]
+    assert [status for _, status, _, _ in plain["runs"]] == [0] * 5 + [2] + [0] * 7
+
+
 def _reject_constant(name):
     raise ValueError(f"invalid JSON constant {name}")
 
@@ -481,3 +541,23 @@ def test_expand_float_x_under_surd_pair(capsys):
     payload = json.loads(out)
     assert payload["approximate"] is True
     assert payload["digits"][:3] == [0, -2, -3]
+
+
+@pytest.mark.parametrize("x", ["1e999", "-1e999"])
+def test_expand_non_finite_x_exits_1(x, capsys):
+    # the decimal parses to +-inf, which has no digit
+    _assert_json_error(capsys, ["expand", "--a", "-1/2", "--b", "1/2", "--x", x], 1, "ValueError")
+
+
+@pytest.mark.parametrize("args,message", [
+    (["oracle", "--a", "-4/5", "--b", "2/5", "--n-points", "-1"], "n_points >= 0"),
+    (["verify", "--a", "-4/5", "--b", "2/5", "--suite", "oracle", "--n-points", "-1"],
+     "n_points >= 0"),
+    (["measures", "--a", "-7/10", "--b", "4/5", "--n-points", "-5"], "n_points >= 0"),
+    (["verify", "--a", "-4/5", "--b", "2/5", "--suite", "reduction", "--grid", "-3"],
+     "grid >= 0"),
+])
+def test_negative_sizes_exit_1(args, message, capsys):
+    code, out = run_cli(args, capsys)
+    assert code == 1
+    assert json.loads(out) == {"error": "ValueError", "message": message}

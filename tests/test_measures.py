@@ -21,9 +21,7 @@ from abcf.measures import (
     hat_domain,
     invariance_check,
     measures_report,
-    mu_density,
     mu_mass,
-    nu_density,
     norm_const,
     nu_mass,
     rokhlin_integral,
@@ -36,6 +34,23 @@ from abcf.scalars import as_float
 
 SIMPLE = Params.make("-7/10", "4/5")
 M11 = Params.make("-1", "1")
+
+
+# -- the densities, point by point: the quadrature oracle's integrands -----
+
+
+def nu_density(x: float, y: float, params: Params) -> float:
+    if not hat_domain(params).contains(x, y, 1e-12):
+        return 0.0
+    return 1.0 / (norm_const(params) * (1.0 + x * y) ** 2)
+
+
+def mu_density(x: float, params: Params) -> float:
+    val = 0.0
+    for lo, hi, c in _mu_terms(params):
+        if lo <= x <= hi:
+            val += 1.0 / abs(x + c)
+    return val / norm_const(params)
 
 
 def mu_cdf(x: float, params: Params) -> float:

@@ -1,8 +1,10 @@
 import math
 import random
 import warnings
+from dataclasses import dataclass
 from math import log
 from fractions import Fraction
+from typing import Optional
 
 import mpmath
 import numpy as np
@@ -14,21 +16,55 @@ from abcf.measures import F_hat_array
 from abcf.mobius import S, T, T_INV
 from abcf.natext import (
     Box,
-    F_step,
     F_step_array,
     invariant_box_measure,
     map_interval,
     mobius_box_image,
     rho,
     sample_attractor,
-    time_to_trap,
     trapping_region,
 )
 from abcf.params import Params
-from abcf.scalars import INF, NEG_INF, POS_INF, Surd, as_float
+from abcf.scalars import INF, NEG_INF, POS_INF, ExtReal, Surd, as_float
 
 
 Z = Params.make("-4/5", "2/5")
+
+
+# -- the exact map, point by point: the reference for the float kernel -----
+
+
+def F_step(p: tuple[ExtReal, ExtReal], params: Params) -> tuple[ExtReal, ExtReal]:
+    """One reduction-map step; rejects diagonal input."""
+    x, y = p
+    if params.eq(x, y):
+        raise ValueError("reduction map is undefined on the diagonal")
+    g = rho(y, params)
+    return g.apply(x), g.apply(y)
+
+
+@dataclass
+class TrapResult:
+    steps: Optional[int]
+    final: tuple[ExtReal, ExtReal]
+
+
+def time_to_trap(
+    p: tuple[ExtReal, ExtReal], params: Params, cap: int = 10_000
+) -> TrapResult:
+    """Least n <= cap with F^n(p) in the trapping region."""
+    if cap < 1:
+        raise ValueError("cap >= 1")
+    theta = trapping_region(params)
+    cur = p
+    tol = 0.0 if params.exact else params.eps
+    for n in range(cap + 1):
+        if theta.contains(cur[0], cur[1], tol):
+            return TrapResult(n, cur)
+        if n == cap:
+            break
+        cur = F_step(cur, params)
+    return TrapResult(None, cur)
 
 
 def test_rho_examples():
