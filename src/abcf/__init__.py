@@ -20,14 +20,11 @@ from .cf import (
     digit_ab,
     evaluate_minus_cf,
     expand,
-    f_hat_step,
-    f_step,
 )
 from .cycles import CycleResult, TruncatedOrbits, detect_cycle, truncated_orbits
 from .exceptional import (
     SubstitutionScheme,
     TriangleRegion,
-    admissible_prefix,
     base_length,
     exceptional_b,
     substitution_step,

@@ -47,10 +47,8 @@ from .scalars import (
     Bound,
     ExtReal,
     Infinity,
-    Surd,
     as_float,
     cmp_bound,
-    cmp_exact,
     format_scalar,
 )
 
@@ -65,24 +63,13 @@ class ConstructionError(RuntimeError):
     failed_endpoint: Optional[str] = None
 
 
-def _fkey(v: Bound) -> float:
-    """A float near the bound that depends only on its exact value: a surd
-    (p + q sqrt d)/r is keyed by the correctly rounded p/r and q^2 d/r^2,
-    which do not depend on the square factors d keeps.  An overflow gives
-    the signed infinity."""
-    try:
-        if isinstance(v, Surd):
-            return v.p / v.r + math.copysign(math.sqrt(v.q * v.q * v.d / (v.r * v.r)), v.q)
-        return as_float(v)
-    except OverflowError:
-        return math.copysign(math.inf, cmp_exact(v, 0))
-
-
 def _exact_sorted(items, fkey, cmp) -> list:
     """sorted(items, key=cmp_to_key(cmp)), element for element.  The stable
-    presort by fkey, which gives equal floats to cmp-equal items, keeps
-    their input order and leaves the exact sort nearly sorted input, which
-    it orders in about len(items) comparisons."""
+    presort by fkey keeps cmp-equal items in input order, as long as it
+    gives them equal keys, and leaves the exact sort nearly sorted input,
+    which it orders in about len(items) comparisons.  Keys built from
+    as_float qualify: it rounds correctly, so it is monotone and gives
+    equal values equal floats, whatever their representation."""
     return sorted(sorted(items, key=fkey), key=functools.cmp_to_key(cmp))
 
 
@@ -211,7 +198,7 @@ class RectDomain:
 # -- transported segments -------------------------------------------------
 
 
-def _arc_ends(entry: LevelEntry, x_a: ExtReal, x_b: ExtReal) -> tuple[ExtReal, ExtReal]:
+def _arc(entry: LevelEntry, x_a: ExtReal, x_b: ExtReal) -> tuple[ExtReal, ExtReal]:
     """(start, end) of the transported boundary arc at this level.
 
     a-chains transport [x_a, oo] (start moving, end fixed); b-chains
@@ -224,7 +211,7 @@ def _arc_ends(entry: LevelEntry, x_a: ExtReal, x_b: ExtReal) -> tuple[ExtReal, E
 
 
 def _segment(entry: LevelEntry, x_a: ExtReal, x_b: ExtReal) -> Step:
-    s, e = _arc_ends(entry, x_a, x_b)
+    s, e = _arc(entry, x_a, x_b)
     if isinstance(s, Infinity) and isinstance(e, Infinity):
         raise ConstructionError(f"level {entry.origin}: degenerate full-line segment")
     if isinstance(s, Infinity):
@@ -254,7 +241,7 @@ def _sorted_steps(entries: list[LevelEntry], x_a: ExtReal, x_b: ExtReal) -> list
         return cmp_bound(s1.y, s2.y) or cmp_bound(s1.x_lo, s2.x_lo)
 
     steps = [_segment(e, x_a, x_b) for e in entries]
-    return _exact_sorted(steps, lambda s: (_fkey(s.y), _fkey(s.x_lo)), cmp)
+    return _exact_sorted(steps, lambda s: (as_float(s.y), as_float(s.x_lo)), cmp)
 
 
 def _disconnections(dom: RectDomain) -> Iterator[str]:
@@ -310,7 +297,8 @@ def _disconnections(dom: RectDomain) -> Iterator[str]:
             continue
         # when the endpoint itself occurs as an orbit level (an exact hit,
         # the coupling case), either adjacent pair may carry the corner;
-        # accept any straddling pair joining there
+        # accept any straddling pair joining there, within the pair's eps: a
+        # float pair near a degenerate one has that one's explicit domain
         cands = [
             i
             for i in range(len(steps) - 1)
@@ -347,14 +335,12 @@ def _solve_pair(e_l: LevelEntry, e_u: LevelEntry) -> list[tuple[ExtReal, ExtReal
     return [s for s in sols if not any(isinstance(x, Infinity) for x in s)]
 
 
-def _nearest(
-    entries: list[LevelEntry], anchor: LevelEntry, params: Params, sign: int
-) -> list[LevelEntry]:
+def _nearest(entries: list[LevelEntry], anchor: LevelEntry, sign: int) -> list[LevelEntry]:
     """The six levels nearest the anchor level, at or above it for sign 1
     and at or below it for sign -1, nearest first."""
-    cs = [e for e in entries if e is not anchor and sign * params.cmp(e.value, anchor.value) >= 0]
+    cs = [e for e in entries if e is not anchor and sign * cmp_bound(e.value, anchor.value) >= 0]
     return _exact_sorted(
-        cs, lambda e: sign * _fkey(e.value), lambda u, v: sign * params.cmp(u.value, v.value)
+        cs, lambda e: sign * as_float(e.value), lambda u, v: sign * cmp_bound(u.value, v.value)
     )[:6]
 
 
@@ -382,12 +368,12 @@ def solve_corners(params: Params, tro: TruncatedOrbits) -> RectDomain:
     sa_entry = next((e for e in upper_entries if e.chain == "Ua" and e.pos == 0), None)
     if sb_entry is None or sa_entry is None:
         raise ConstructionError("missing anchor level (empty cycle side)")
-    uppers = _nearest(upper_entries, sa_entry, params, -1)
+    uppers = _nearest(upper_entries, sa_entry, -1)
     failures: list[str] = []
-    for e_l in _nearest(lower_entries, sb_entry, params, 1):
+    for e_l in _nearest(lower_entries, sb_entry, 1):
         for e_u in uppers:
             for x_a, x_b in _solve_pair(e_l, e_u):
-                if params.cmp(x_a, 1) < 0 or params.cmp(x_b, -1) > 0:
+                if cmp_bound(x_a, 1) < 0 or cmp_bound(x_b, -1) > 0:
                     failures.append(
                         f"({e_l.origin},{e_u.origin}): corner bounds fail "
                         f"x_a={as_float(x_a):.6g} x_b={as_float(x_b):.6g}"
@@ -502,7 +488,7 @@ def _ranks(values: list[Bound]) -> tuple[list[Bound], list[int]]:
     cuts: list[Bound] = []
     ranks = [0] * len(values)
     order = _exact_sorted(
-        enumerate(values), lambda e: _fkey(e[1]), lambda e, f: cmp_bound(e[1], f[1])
+        enumerate(values), lambda e: as_float(e[1]), lambda e, f: cmp_bound(e[1], f[1])
     )
     for i, v in order:
         if not cuts or cmp_bound(cuts[-1], v) != 0:
@@ -539,7 +525,7 @@ def _bands(
     ascending x_lo."""
     tagged = _exact_sorted(
         [(0, bx) for bx in domain] + [(1, bx) for bx in images],
-        lambda t: _fkey(t[1].x_lo),
+        lambda t: as_float(t[1].x_lo),
         lambda t, u: cmp_bound(t[1].x_lo, u[1].x_lo),
     )
     ys, ranks = _ranks([v for _, bx in tagged for v in (bx.y_lo, bx.y_hi)])

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .mobius import IDENTITY, Mobius, NonHyperbolicError, S, T_pow, minus_cf_matrix
+from .mobius import NonHyperbolicError, S, T, minus_cf_matrix
 from .natext import rho
 from .params import Params
-from .scalars import INF, ExtReal, Infinity, as_float, cmp_exact, floor_exact, is_exact
+from .scalars import INF, ExtReal, Infinity, as_float, floor_exact, is_exact
 
 
 def state_key(v: ExtReal):
@@ -50,36 +50,16 @@ def digit_float(x: float, a: float, b: float, eps: float) -> int:
 
 def digit_ab(x: ExtReal, params: Params) -> int:
     """Generalized integer part: floor(x-a) below a, 0 on [a, b),
-    floor(x-b)+1 from b up."""
+    floor(x-b)+1 from b up.  Exact x takes rho's branch (T, S or T^-1);
+    any other x takes digit_float's, which cuts where rho does on floats."""
     if isinstance(x, Infinity):
         raise TerminatedExpansion("digit of the point at infinity")
-    a, b = params.a, params.b
     if not (params.exact and is_exact(x)):
-        return digit_float(as_float(x), as_float(a), as_float(b), params.eps)
-    if cmp_exact(x, a) < 0:
-        return floor_exact(x - a)
-    if cmp_exact(x, b) < 0:
+        return digit_float(as_float(x), as_float(params.a), as_float(params.b), params.eps)
+    branch = rho(x, params)
+    if branch is S:
         return 0
-    return floor_exact(x - b) + 1
-
-
-def f_step(x: ExtReal, params: Params) -> ExtReal:
-    """One step of the piecewise map; fixes the point at infinity."""
-    return rho(x, params).apply(x)
-
-
-def f_hat_step(x: ExtReal, params: Params) -> tuple[ExtReal, Mobius]:
-    """First-return step on [a, b): x -> T^{-digit(-1/x)} S x, 0 -> 0."""
-    if isinstance(x, Infinity):
-        raise ValueError("first-return map is defined on [a, b)")
-    if params.cmp(x, params.a) < 0 or params.cmp(x, params.b) >= 0:
-        raise ValueError(f"{x} outside [a, b)")
-    if params.eq(x, 0):
-        return Fraction(0) if params.exact else 0.0, IDENTITY
-    y = S.apply(x)
-    n = digit_ab(y, params)
-    word = T_pow(-n) @ S
-    return word.apply(x), word
+    return floor_exact(x - params.a) if branch is T else floor_exact(x - params.b) + 1
 
 
 @dataclass
@@ -118,12 +98,11 @@ def expand(x: ExtReal, params: Params, max_digits: int = 200) -> CFExpansion:
     Rational inputs (with b != 0) hit the point at infinity and terminate;
     exact quadratic states repeat and are reported as (preperiod, period).
     Float states match through :func:`state_key`; float inputs or
-    parameters flag the result approximate.
+    parameters flag the result approximate.  A float state that is not
+    finite (x itself, or -1/t overflowing) raises ValueError.
     """
     if max_digits < 1:
         raise ValueError("max_digits >= 1")
-    if isinstance(x, float) and not math.isfinite(x):
-        raise ValueError(f"x must be finite, not {x}")
     digits: list[int] = []
     if isinstance(x, Infinity):
         return CFExpansion(digits, terminated=True)
@@ -133,6 +112,8 @@ def expand(x: ExtReal, params: Params, max_digits: int = 200) -> CFExpansion:
     for i in range(max_digits):
         if isinstance(cur, Infinity):
             return CFExpansion(digits, terminated=True, approximate=approx)
+        if isinstance(cur, float) and not math.isfinite(cur):
+            raise ValueError(f"float state x_{i} = {cur} is not finite")
         if i >= 1:
             k = state_key(cur)
             if k in seen:

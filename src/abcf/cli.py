@@ -52,11 +52,6 @@ def _params(args) -> Params:
     return Params.make(args.a, args.b, args.eps)
 
 
-def _seed(args) -> int:
-    env = os.environ.get("ABCF_SEED")
-    return int(env) if env is not None else args.seed
-
-
 def _write(text: str, path) -> None:
     """Write text to the file at path, or to stdout when path is empty."""
     if path:
@@ -164,6 +159,8 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     args = _parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
+        if "seed" in vars(args):  # ABCF_SEED overrides --seed, in the run and in its echo
+            args.seed = int(os.environ.get("ABCF_SEED", args.seed))
         return args.func(args)
     except ParamError as exc:
         sys.stderr.write(f"invalid parameters: {exc}\n")
@@ -243,7 +240,7 @@ def _cmd_attractor(args) -> int:
 
 def _cmd_oracle(args) -> int:
     params = _params(args)
-    cloud = sample_attractor(params, args.burn_in, args.n_points, _seed(args))
+    cloud = sample_attractor(params, args.burn_in, args.n_points, args.seed)
     if args.format == "json":
         _emit(
             {
@@ -283,7 +280,7 @@ def _cmd_verify(args) -> int:
         report["bijectivity"] = bij.to_json()
         ok &= bij.ok
     if args.suite in ("oracle", "all"):
-        cloud = sample_attractor(params, args.burn_in, args.n_points, _seed(args))
+        cloud = sample_attractor(params, args.burn_in, args.n_points, args.seed)
         cmp = compare_with_oracle(dom, cloud)
         report["oracle"] = cmp.to_json()
         ok &= cmp.inside_fraction >= 0.999
@@ -305,7 +302,7 @@ def _cmd_exceptional(args) -> int:
 def _cmd_measures(args) -> int:
     from .measures import measures_report  # numpy loads with it, for this command only
 
-    rep = measures_report(_params(args), args.n_points, _seed(args))
+    rep = measures_report(_params(args), args.n_points, args.seed)
     _emit({"config": _config_echo(args), **rep}, args)
     return 0
 
@@ -315,7 +312,7 @@ def _cmd_plot(args) -> int:
     dom = build_attractor(params)
     cloud = None
     if args.with_cloud:
-        cloud = sample_attractor(params, args.burn_in, args.n_points, _seed(args))
+        cloud = sample_attractor(params, args.burn_in, args.n_points, args.seed)
     w = args.window
     _write(render_svg(dom, cloud, (-w, w, -w, w)), args.out)
     return 0

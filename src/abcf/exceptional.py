@@ -22,8 +22,8 @@ from .cf import evaluate_minus_cf
 from .scalars import (
     Scalar,
     as_float,
-    bounds,
     cmp_exact,
+    enclosure,
     midpoint_rational,
 )
 
@@ -53,9 +53,9 @@ class TriangleRegion:
         """Certified upper bound on b_hi - b_lo (0.0 once below float range)."""
         if self.empty:
             return 0.0
-        lo = bounds(self.b_lo, 96)
-        hi = bounds(self.b_hi, 96)
-        return float(hi[1] - lo[0])
+        lo, _, lo_den = enclosure(self.b_lo, 96)
+        _, hi, hi_den = enclosure(self.b_hi, 96)
+        return (hi * lo_den - lo * hi_den) / (hi_den * lo_den)
 
 
 def triangle_region(m: int, seq: Sequence[int]) -> TriangleRegion:
@@ -174,26 +174,6 @@ def run_plan(m: int, plan: Sequence[tuple[Case, int]], depth: Optional[int] = No
     return out
 
 
-def admissible_prefix(
-    m: int,
-    plan: Sequence[tuple[Case, int]],
-    depth: int,
-    check_prefixes: bool = False,
-) -> tuple[int, ...]:
-    """Digit prefix A^(depth) of the sequence encoded by a plan.
-
-    With check_prefixes, asserts that the triangle of every prefix of the
-    emitted digits is nonempty (they nest, so this certifies the chain).
-    """
-    schemes = run_plan(m, plan, depth)
-    prefix = schemes[-1].A
-    if check_prefixes:
-        for j in range(1, len(prefix) + 1):
-            if triangle_region(m, prefix[:j]).empty:
-                raise AssertionError(f"empty prefix triangle at {prefix[:j]}")
-    return prefix
-
-
 def base_length(scheme: SubstitutionScheme) -> Scalar:
     """Length of the lower base of the generation's triangle, from its
     base blocks."""
@@ -246,7 +226,8 @@ def exceptional_b(
         if tri.empty:
             raise AssertionError(f"plan produced an empty triangle at gen {scheme.gen}")
         L = base_length(scheme)
-        L_f = float(bounds(L, 96)[1])
+        _, hi, den = enclosure(L, 96)
+        L_f = hi / den
         if L_f < target_width:
             mid = midpoint_rational(tri.b_lo, tri.b_hi)
             return Enclosure(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .scalars import (
     ExtReal,
@@ -56,10 +55,10 @@ class Params:
         except MixedFieldError as exc:
             raise ParamError(f"a and b lie in different quadratic fields: {exc}") from None
         checks = [
-            (self.cmp_num(a, 0) <= 0, "a <= 0"),
-            (self.cmp_num(b, 0) >= 0, "0 <= b"),
-            (self.cmp_num(width, 1) >= 0, "b - a >= 1"),
-            (self.cmp_num(-product, 1) <= 0, "-a*b <= 1"),
+            (self.cmp(a, 0) <= 0, "a <= 0"),
+            (self.cmp(b, 0) >= 0, "0 <= b"),
+            (self.cmp(width, 1) >= 0, "b - a >= 1"),
+            (self.cmp(-product, 1) <= 0, "-a*b <= 1"),
         ]
         for ok, name in checks:
             if not ok:
@@ -86,8 +85,10 @@ class Params:
     def exact(self) -> bool:
         return is_exact(self.a) and is_exact(self.b)
 
-    def cmp_num(self, x: Scalar, y) -> int:
-        """Three-way compare, eps-snapped in float mode."""
+    def cmp(self, x: ExtReal, y: ExtReal) -> int:
+        """Three-way compare, eps-snapped when either side is a float."""
+        if isinstance(x, Infinity) or isinstance(y, Infinity):
+            raise ValueError("cannot order the unsigned point at infinity")
         if isinstance(x, float) or isinstance(y, float):
             fx, fy = as_float(x), as_float(y)
             if abs(fx - fy) <= self.eps:
@@ -95,15 +96,10 @@ class Params:
             return 1 if fx > fy else -1
         return cmp_exact(x, y)
 
-    def cmp(self, x: ExtReal, y: ExtReal) -> int:
-        if isinstance(x, Infinity) or isinstance(y, Infinity):
-            raise ValueError("cannot order the unsigned point at infinity")
-        return self.cmp_num(x, y)
-
     def eq(self, x: ExtReal, y: ExtReal) -> bool:
         if isinstance(x, Infinity) or isinstance(y, Infinity):
             return x is y
-        return self.cmp_num(x, y) == 0
+        return self.cmp(x, y) == 0
 
     # -- structure ---------------------------------------------------------
 
@@ -115,15 +111,15 @@ class Params:
 
     @property
     def is_a0(self) -> bool:
-        return self.cmp_num(self.a, 0) == 0
+        return self.cmp(self.a, 0) == 0
 
     @property
     def is_b0(self) -> bool:
-        return self.cmp_num(self.b, 0) == 0
+        return self.cmp(self.b, 0) == 0
 
     @property
     def is_m11(self) -> bool:
-        return self.cmp_num(self.a, -1) == 0 and self.cmp_num(self.b, 1) == 0
+        return self.cmp(self.a, -1) == 0 and self.cmp(self.b, 1) == 0
 
     def mirrored(self) -> "Params":
         """The symmetric pair (a, b) -> (-b, -a)."""
@@ -140,9 +136,6 @@ class Params:
             "mode": "exact" if self.exact else "float",
             "eps": self.eps,
         }
-
-
-ParamsLike = Union[Params, tuple]
 
 
 def interior_rational_params(rng, n: int, max_den: int = 12) -> list[Params]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import copysign, floor, gcd, isqrt
+from math import copysign, gcd, isqrt
 from typing import Iterator, Union
 
 
@@ -256,24 +256,11 @@ class Surd:
 
     # -- numeric views ---------------------------------------------------
 
-    def _ends(self, bits: int) -> tuple[int, int, int]:
-        """The numerators of bounds(bits), low end first, and their denominator."""
-        n, p, q = isqrt(self.d << (2 * bits)), self.p << bits, self.q
-        lo, hi = (n, n + 1) if q > 0 else (n + 1, n)
-        return p + q * lo, p + q * hi, self.r << bits
-
-    def bounds(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        """Certified rational enclosure of the value, width |q|/r * 2**-bits,
-        from n/2**bits <= sqrt(d) < (n+1)/2**bits with n = isqrt(d * 4**bits)."""
-        lo, hi, den = self._ends(bits)
-        return Fraction(lo, den), Fraction(hi, den)
-
     def __float__(self) -> float:
         """The value correctly rounded, however much p and q*sqrt(d) cancel:
-        bounds(bits) is refined until its ends round to one float (int / int
+        the enclosure is refined until its ends round to one float (int / int
         rounds correctly) and share a sign."""
-        for bits in (64 << k for k in range(15)):  # up to 2**20 bits
-            lo, hi, den = self._ends(bits)
+        for ((lo, hi, den),) in _enclosures(self):
             if lo / den == hi / den and (lo < 0) == (hi < 0):
                 return lo / den
         raise PrecisionError(f"float of {self!r} undecided")  # pragma: no cover
@@ -286,18 +273,23 @@ Bound = Union[Fraction, Surd, float, _Sentinel]
 Number = Union[int, Fraction, Surd]
 
 
-def bounds(x: Scalar, bits: int = 64) -> tuple[Fraction, Fraction]:
-    if isinstance(x, Surd):
-        return x.bounds(bits)
-    f = Fraction(x)
-    return f, f
+def enclosure(x: Number, bits: int = 64) -> tuple[int, int, int]:
+    """Integers (lo, hi, den), den > 0, with lo/den <= x <= hi/den.  A
+    rational n/d gives (n, n, d).  A surd (p + q*sqrt(d))/r uses
+    n/2**bits < sqrt(d) < (n+1)/2**bits with n = isqrt(d * 4**bits), so
+    its ends lie |q|/r * 2**-bits apart.  Callers compare the ends by
+    cross-multiplication; no gcd is taken."""
+    if not isinstance(x, Surd):
+        return x.numerator, x.numerator, x.denominator
+    n, p, q = isqrt(x.d << (2 * bits)), x.p << bits, x.q
+    lo, hi = (n, n + 1) if q > 0 else (n + 1, n)
+    return p + q * lo, p + q * hi, x.r << bits
 
 
-def _enclosures(*xs: Scalar, bits: int = 64, top: int = 1 << 20) -> Iterator[list]:
-    """Certified enclosures [bounds(x, bits) for x in xs] at bits, 2*bits, ...
-    up to top bits."""
+def _enclosures(*xs: Number, bits: int = 64, top: int = 1 << 20) -> Iterator[list]:
+    """[enclosure(x, bits) for x in xs] at bits, 2*bits, ... up to top bits."""
     while bits <= top:
-        yield [bounds(x, bits) for x in xs]
+        yield [enclosure(x, bits) for x in xs]
         bits *= 2
 
 
@@ -324,10 +316,10 @@ def cmp_exact(x: Number, y: Number) -> int:
     if isinstance(x, Surd) and isinstance(y, Surd) and x.d != y.d:
         if x == y:
             return 0
-        for (xlo, xhi), (ylo, yhi) in _enclosures(x, y):
-            if xhi < ylo:
+        for (xlo, xhi, xd), (ylo, yhi, yd) in _enclosures(x, y):
+            if xhi * yd < ylo * xd:
                 return -1
-            if yhi < xlo:
+            if yhi * xd < xlo * yd:
                 return 1
         raise PrecisionError(f"cannot separate {x!r} and {y!r}")
     if isinstance(x, Surd):
@@ -358,15 +350,14 @@ def cmp_bound(u: Bound, v: Bound) -> int:
     return cmp_exact(u, v)
 
 
-def floor_exact(x: Scalar) -> int:
-    """Integer floor, exact for rationals and surds."""
-    if isinstance(x, Fraction):
-        return x.numerator // x.denominator
-    if not isinstance(x, Surd):
+def floor_exact(x: Number) -> int:
+    """Integer floor, exact for rationals and surds: the common floor of
+    the ends of an enclosure (a rational's are equal)."""
+    if not is_exact(x):
         raise TypeError(f"floor_exact expects an exact scalar, got {type(x)}")
-    for ((lo, hi),) in _enclosures(x):
-        if floor(lo) == floor(hi):
-            return floor(lo)
+    for ((lo, hi, den),) in _enclosures(x):
+        if lo // den == hi // den:
+            return lo // den
     raise PrecisionError(f"floor of {x!r} undecided")  # pragma: no cover
 
 
@@ -441,21 +432,19 @@ def midpoint_rational(x: Scalar, y: Scalar) -> Fraction:
     simplest rational in the gap (small representations keep later orbit
     arithmetic on the result cheap).
     """
-    for (xlo, xhi), (ylo, yhi) in _enclosures(x, y, bits=128, top=1 << 22):
-        if yhi < xlo:
+    for (xlo, xhi, xd), (ylo, yhi, yd) in _enclosures(x, y, bits=128, top=1 << 22):
+        if yhi * xd < xlo * yd:
             raise ValueError("midpoint_rational expects x < y")
-        if xhi < ylo:
-            # shrink to the middle half so exact endpoints stay outside
-            gap = ylo - xhi
-            return simplest_in_interval(xhi + gap / 4, ylo - gap / 4)
+        if xhi * yd < ylo * xd:
+            # the middle half of the gap, u/(xd*yd) to v/(xd*yd), so exact
+            # endpoints stay outside
+            u, v, den = xhi * yd, ylo * xd, 4 * xd * yd
+            return simplest_in_interval(Fraction(3 * u + v, den), Fraction(u + 3 * v, den))
     raise PrecisionError(f"cannot separate {x!r} and {y!r}")
 
 
 def format_scalar(x: ExtReal) -> str:
-    if x is INF:
-        return "inf"
-    if isinstance(x, Surd):
-        return f"({x.p}{x.q:+}*sqrt({x.d}))/{x.r}"
+    """A rational as "n/d" or "n"; a surd, a float or INF as its repr."""
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
     return repr(x)

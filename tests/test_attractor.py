@@ -23,7 +23,6 @@ from abcf.attractor import (
     verify_bijectivity,
     verify_connectivity,
     _exact_sorted,
-    _fkey,
     _ranks,
 )
 from abcf.cycles import truncated_orbits
@@ -127,6 +126,16 @@ def test_monotone_steps():
                 from abcf.scalars import cmp_bound
 
                 assert cmp_bound(u, v) <= 0
+
+
+@pytest.mark.parametrize("a, b", [(-1e-13, 1.0), (1e-13, 1.0), (-1.0, 1e-13), (-1.0000000000001, 1.0)])
+def test_float_pairs_within_eps_of_a_degenerate_pair_connect(a, b):
+    # such a pair gets the degenerate pair's explicit domain, and its
+    # endpoints compare with it within eps: with a = -1e-13 an eps-free
+    # comparison would put the corner join of the a = 0 domain on the
+    # wrong level
+    dom = build_attractor(Params(a, b))
+    assert dom.degenerate and verify_connectivity(dom) == {"ok": True, "failures": []}
 
 
 def test_connectivity_report_and_negative_control():
@@ -377,7 +386,7 @@ def bound_lists(draw):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(bound_lists())
 def test_exact_sorted_is_the_exact_sort(items):
-    got = _exact_sorted(items, _fkey, cmp_bound)
+    got = _exact_sorted(items, as_float, cmp_bound)
     want = sorted(items, key=functools.cmp_to_key(cmp_bound))
     assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
 

@@ -11,11 +11,10 @@ from abcf.cf import (
     evaluate_finite_minus_cf,
     evaluate_minus_cf,
     expand,
-    f_hat_step,
-    f_step,
     state_key,
 )
-from abcf.mobius import NonHyperbolicError, S, T_pow
+from abcf.mobius import IDENTITY, NonHyperbolicError, S, T, T_INV, T_pow
+from abcf.natext import rho
 from abcf.params import Params
 from abcf.scalars import INF, Surd, as_float
 
@@ -23,6 +22,25 @@ from abcf.scalars import INF, Surd, as_float
 H = Params.make("-1/2", "1/2")  # nearest-integer chart
 Z = Params.make("-4/5", "2/5")  # Zagier's example
 M = Params.make("-1", "0")  # minus (backward) chart
+
+
+def f_step(x, params):
+    """One step of the piecewise map; fixes the point at infinity."""
+    return rho(x, params).apply(x)
+
+
+def f_hat_step(x, params):
+    """First-return step on [a, b): x -> T^{-digit(-1/x)} S x, 0 -> 0."""
+    if x is INF:
+        raise ValueError("first-return map is defined on [a, b)")
+    if params.cmp(x, params.a) < 0 or params.cmp(x, params.b) >= 0:
+        raise ValueError(f"{x} outside [a, b)")
+    if params.eq(x, 0):
+        return Fraction(0) if params.exact else 0.0, IDENTITY
+    y = S.apply(x)
+    n = digit_ab(y, params)
+    word = T_pow(-n) @ S
+    return word.apply(x), word
 
 
 def evaluate_expansion(exp):
@@ -63,6 +81,44 @@ def test_digit_of_a_float_snaps_within_eps():
         assert digit_ab(x, Params.make(-0.5, 0.5)) == n, x
         assert digit_ab(x, H) == n, x
         assert digit_float(x, -0.5, 0.5, 1e-12) == n, x
+
+
+def _branch_sign(x, params):
+    """-1, 0 or 1 as rho takes T, S or T^-1 at x."""
+    return {T: -1, S: 0, T_INV: 1}[rho(x, params)]
+
+
+def _sign(n):
+    return (n > 0) - (n < 0)
+
+
+@pytest.mark.parametrize("a, b, eps", [
+    (-0.7, 0.8, 1e-12),
+    (-1.0, 1.0, 1e-12),
+    (-as_float(Surd.make(-1, 1, 2, 5)), as_float(Surd.make(-1, 1, 2, 5)), 1e-12),
+    (-0.25, 0.75, 2.0**-20),  # x = a +- eps and b +- eps are exact floats
+    (-0.7, 0.8, 0.0),
+    (-0.25, 0.75, 0.0),
+])
+def test_digit_float_takes_the_branch_of_rho(a, b, eps):
+    # one branch rule: digit_float is below, at or above 0 exactly where rho
+    # takes T, S or T^-1, at the cuts, within and past eps of them, and at
+    # random points
+    params = Params(a, b, eps)
+    xs = [c + k * eps for c in (a, b) for k in (0, -2, -1, -0.5, 0.5, 1, 2)]
+    rng = random.Random(11)
+    xs += [rng.uniform(a - 3, b + 3) for _ in range(2000)]
+    for x in xs:
+        assert _sign(digit_float(x, a, b, eps)) == _branch_sign(x, params), x
+
+
+def test_exact_digit_takes_the_branch_of_rho():
+    g = Surd.make(-1, 1, 2, 5)
+    tiny = Fraction(1, 10**30)
+    for params in (H, Z, M, Params.make("-1", "1"), Params(-g, g), Params(-g, 1 - g)):
+        a, b = params.a, params.b
+        for x in (a, b, a - tiny, a + tiny, b - tiny, b + tiny, a - 1, b + 1, g, -g, g / 3):
+            assert _sign(digit_ab(x, params)) == _branch_sign(x, params), (params, x)
 
 
 def test_f_step_examples():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -98,6 +99,30 @@ def test_env_seed_override(tmp_path, monkeypatch):
     monkeypatch.delenv("ABCF_SEED")
     assert main(args + ["--seed", "77", "--out", str(f2)]) == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--a", "-4/5", "--b", "2/5", "--n-points", "200", "--burn-in", "50", "--format", "json"],
+    ["verify", "--a", "-4/5", "--b", "2/5", "--suite", "oracle", "--n-points", "500"],
+])
+def test_env_seed_is_the_echoed_seed(argv, monkeypatch, capsys):
+    # the artifact reproduces itself: under ABCF_SEED=77 the run prints what
+    # --seed 77 prints without it, its config echo included
+    monkeypatch.setenv("ABCF_SEED", "77")
+    with_env = run_cli(argv, capsys)
+    monkeypatch.delenv("ABCF_SEED")
+    assert with_env == run_cli([*argv, "--seed", "77"], capsys)
+    assert json.loads(with_env[1])["config"]["seed"] == 77
+
+
+def test_exact_outputs_match_the_golden_hashes():
+    # `attractor` and `verify --suite bijectivity` on the 146 pairs of P with
+    # denominators <= 4 print byte for byte what they printed when
+    # golden/exact_p4.sha256 was written by golden/make_exact_p4.py
+    got = runpy.run_path(str(GOLDEN / "make_exact_p4.py"))["digests"]()
+    want = (GOLDEN / "exact_p4.sha256").read_text().splitlines()
+    assert len(got) == len(want) == 146
+    assert [g for g, w in zip(got, want) if g != w] == []
 
 
 def test_exceptional_command(capsys):
@@ -543,10 +568,12 @@ def test_expand_float_x_under_surd_pair(capsys):
     assert payload["digits"][:3] == [0, -2, -3]
 
 
-@pytest.mark.parametrize("x", ["1e999", "-1e999"])
+@pytest.mark.parametrize("x", ["1e999", "-1e999", "5e-324", "-5e-324"])
 def test_expand_non_finite_x_exits_1(x, capsys):
-    # the decimal parses to +-inf, which has no digit
-    _assert_json_error(capsys, ["expand", "--a", "-1/2", "--b", "1/2", "--x", x], 1, "ValueError")
+    # 1e999 parses to inf, which has no digit; with eps 0, the first step
+    # takes 5e-324 to -1/5e-324, which overflows to -inf
+    eps = ["--eps", "0"] if "e-" in x else []
+    _assert_json_error(capsys, ["expand", "--a", "-1/2", "--b", "1/2", "--x", x, *eps], 1, "ValueError")
 
 
 @pytest.mark.parametrize("args,message", [

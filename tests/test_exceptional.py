@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,6 @@ from abcf.cf import evaluate_minus_cf, expand
 from abcf.cycles import truncated_orbits
 from abcf.exceptional import (
     SubstitutionScheme,
-    admissible_prefix,
     base_length,
     base_value,
     exceptional_b,
@@ -19,7 +19,22 @@ from abcf.exceptional import (
 )
 from abcf.mobius import S, minus_cf_matrix
 from abcf.params import Params
-from abcf.scalars import Surd, as_float, bounds, cmp_exact
+from abcf.scalars import Surd, as_float, cmp_exact, enclosure
+
+
+def admissible_prefix(m, plan, depth, check_prefixes=False):
+    """Digit prefix A^(depth) of the sequence encoded by a plan.
+
+    With check_prefixes, asserts that the triangle of every prefix of the
+    emitted digits is nonempty (they nest, so this certifies the chain).
+    """
+    schemes = run_plan(m, plan, depth)
+    prefix = schemes[-1].A
+    if check_prefixes:
+        for j in range(1, len(prefix) + 1):
+            if triangle_region(m, prefix[:j]).empty:
+                raise AssertionError(f"empty prefix triangle at {prefix[:j]}")
+    return prefix
 
 
 def test_triangle_seed():
@@ -163,8 +178,9 @@ def test_base_length_positive_and_closed_form():
     assert cmp_exact(tri.b_hi, tri.b_lo) > 0
     # gen-1 base length is below the generation-0 triangle's b-width
     t0 = triangle_region(3, [3])
-    width0 = bounds(t0.b_hi, 80)[1] - bounds(t0.b_lo, 80)[0]
-    assert bounds(L, 80)[1] < width0
+    (_, hi0, d_hi), (lo0, _, d_lo), (_, hi_L, d_L) = (enclosure(x, 80) for x in (t0.b_hi, t0.b_lo, L))
+    width0 = Fraction(hi0, d_hi) - Fraction(lo0, d_lo)
+    assert Fraction(hi_L, d_L) < width0
 
 
 def test_generation_0_base_is_base_value():

@@ -8,7 +8,7 @@ from scipy.integrate import dblquad, quad
 
 from abcf import measures
 from abcf.attractor import build_attractor
-from abcf.cf import digit_float, f_hat_step
+from abcf.cf import digit_float
 from abcf.measures import (
     _box_uniforms,
     _digit_array,
@@ -30,6 +30,7 @@ from abcf.measures import (
 from abcf.natext import Box
 from abcf.params import ParamError, Params
 from abcf.scalars import as_float
+from test_cf import f_hat_step
 
 
 SIMPLE = Params.make("-7/10", "4/5")
@@ -67,10 +68,10 @@ def simple_case_applies(params: Params) -> bool:
     sa = -1 / a
     sb = -1 / b
     return (
-        params.cmp_num(sa, 1) >= 0
-        and params.cmp_num(sa, b + 1) <= 0
-        and params.cmp_num(sb, a - 1) >= 0
-        and params.cmp_num(sb, -1) <= 0
+        params.cmp(sa, 1) >= 0
+        and params.cmp(sa, b + 1) <= 0
+        and params.cmp(sb, a - 1) >= 0
+        and params.cmp(sb, -1) <= 0
     )
 
 

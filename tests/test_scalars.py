@@ -11,9 +11,9 @@ from abcf.scalars import (
     POS_INF,
     Surd,
     as_float,
-    bounds,
     cmp_bound,
     cmp_exact,
+    enclosure,
     floor_exact,
     format_scalar,
     midpoint_rational,
@@ -85,7 +85,8 @@ def test_floor_and_bounds():
     assert floor_exact(g) == 1
     assert floor_exact(-g) == -2
     assert floor_exact(Fraction(-7, 2)) == -4
-    lo, hi = bounds(g, 80)
+    lo, hi, den = enclosure(g, 80)
+    lo, hi = Fraction(lo, den), Fraction(hi, den)
     assert lo < g < hi
     assert hi - lo <= Fraction(1, 2**79)
     assert abs(as_float(g) - 1.618033988749895) < 1e-15
