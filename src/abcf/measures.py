@@ -115,27 +115,72 @@ def _nu_y_cdf(y: float, boxes: tuple[Box, ...], C: float) -> float:
 # -- sampling and the invariance statistic --------------------------------
 
 
-def _box_uniforms(rng: np.random.Generator, boxes: tuple[Box, ...], cdf: np.ndarray, m: int):
-    """m points, each uniform in a box drawn from the distribution cdf.
+#: the sampler's candidates, and F_hat_array's points, per pass of the
+#: vector kernels, so each pass's temporaries stay small and in cache
+CHUNK = 1 << 16
 
-    The stream is that of rng.choice(len(boxes), m, p=...) -- one
-    random(m) searched in cdf -- then uniform x and y draws for every point
-    of box 0, of box 1, ...; no pass over the m points is made per box.
+
+def _cursor(rng: np.random.Generator, skip: int) -> np.random.Generator:
+    """A generator that draws rng's stream from skip draws ahead; rng
+    itself does not move."""
+    bit_generator = type(rng.bit_generator)()
+    bit_generator.state = rng.bit_generator.state
+    return np.random.Generator(bit_generator.advance(skip))
+
+
+def _box_uniforms(rng: np.random.Generator, boxes: tuple[Box, ...], cdf: np.ndarray, m: int):
+    """m points, each uniform in a box drawn from the distribution cdf, as
+    (xs, ys) chunks of at most CHUNK points, in index order.
+
+    The stream is laid out as one random(m) searched in cdf, the picks of
+    rng.choice(len(boxes), m, p=...); then the x draws and the y draws of
+    box 0's points, then of box 1's, and so on: the k-th point of a box
+    takes the k-th draw of its box's x block and of its y block.  rng draws
+    the picks a chunk at a time and stops after them.  Each double takes
+    one step of the bit generator, so a block that starts s draws later is
+    drawn by a cursor, a copy of rng moved s steps ahead, and each chunk
+    takes the next draws of every block from its cursor.
     """
-    picks = (rng.random(m) >= cdf[:-1, None]).sum(0, dtype=np.min_scalar_type(len(boxes)))
-    ends = np.bincount(picks, minlength=len(boxes)).cumsum()
-    order = np.argsort(picks, kind="stable")  # each box's indices, ascending
-    xs, ys = np.empty(m), np.empty(m)
-    for b, sel in zip(boxes, np.split(order, ends[:-1])):
-        xs[sel] = rng.uniform(b.x_lo, b.x_hi, len(sel))
-        ys[sel] = rng.uniform(b.y_lo, b.y_hi, len(sel))
-    return xs, ys
+    picks = np.empty(m, np.min_scalar_type(len(boxes)))
+    counts = np.zeros(len(boxes), np.int64)
+    for i in range(0, m, CHUNK):
+        p = picks[i : i + CHUNK]
+        p[:] = (rng.random(len(p)) >= cdf[:-1, None]).sum(0, dtype=p.dtype)
+        counts += np.bincount(p, minlength=len(boxes))
+    # a box's x block starts 2 (points of the boxes before it) draws past the
+    # picks, and its y block follows
+    blocks = [
+        (b, _cursor(rng, int(s)), _cursor(rng, int(s + c)))
+        for b, s, c in zip(boxes, 2 * (counts.cumsum() - counts), counts)
+    ]
+
+    def chunk(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ends = np.bincount(p, minlength=len(boxes)).cumsum()
+        order = np.argsort(p, kind="stable")  # each box's indices, ascending
+        xs, ys = np.empty(len(p)), np.empty(len(p))
+        for (b, x_draws, y_draws), sel in zip(blocks, np.split(order, ends[:-1])):
+            xs[sel] = x_draws.uniform(b.x_lo, b.x_hi, len(sel))
+            ys[sel] = y_draws.uniform(b.y_lo, b.y_hi, len(sel))
+        return xs, ys
+
+    return (chunk(picks[i : i + CHUNK]) for i in range(0, m, CHUNK))
 
 
 def sample_nu(params: Params, n: int, seed: int) -> np.ndarray:
-    """Rejection-sample the invariant 2D density box by box: each round
-    draws m = max(4096, 2 (n - filled)) candidates by _box_uniforms, then
-    uniform(0, 1, m) for acceptance, so a seed fixes the output bits."""
+    """Rejection-sample the invariant 2D density box by box; a seed fixes
+    the output bits.
+
+    A round of m = max(4096, 2 (n - filled)) candidates takes 4m draws of
+    the stream: the m picks and 2m box uniforms of _box_uniforms, then m
+    acceptance uniforms.  Candidate i is accepted when its acceptance draw
+    times the density's maximum is at most its density, and the accepted
+    candidates fill the output in index order.  The candidates come CHUNK
+    at a time, each chunk's acceptance draws come from a cursor 2m draws
+    past the picks, and the walk stops at the n-th accepted point; a round
+    that ends short moves rng past its 4m draws.  So the output bits are
+    those of drawing each block of a round whole, while the memory is the
+    output, m pick bytes and a few arrays of CHUNK floats.
+    """
     if n < 0:
         raise ValueError("n_points >= 0")
     dom = hat_domain(params)
@@ -155,12 +200,17 @@ def sample_nu(params: Params, n: int, seed: int) -> np.ndarray:
     filled = 0
     while filled < n:
         m = max(4096, 2 * (n - filled))
-        xs, ys = _box_uniforms(rng, dom.boxes, cdf, m)
-        dens = 1.0 / (1.0 + xs * ys) ** 2
-        take = np.flatnonzero(rng.uniform(0, 1, m) * dens_max <= dens)[: n - filled]
-        out[filled : filled + len(take), 0] = xs[take]
-        out[filled : filled + len(take), 1] = ys[take]
-        filled += len(take)
+        candidates = _box_uniforms(rng, dom.boxes, cdf, m)  # rng stands past the picks
+        accept = _cursor(rng, 2 * m)
+        for xs, ys in candidates:
+            dens = 1.0 / (1.0 + xs * ys) ** 2
+            take = np.flatnonzero(accept.uniform(0, 1, len(xs)) * dens_max <= dens)[: n - filled]
+            out[filled : filled + len(take), 0] = xs[take]
+            out[filled : filled + len(take), 1] = ys[take]
+            filled += len(take)
+            if filled == n:
+                return out
+        rng.bit_generator.advance(3 * m)
     return out
 
 
@@ -178,13 +228,15 @@ def _digit_array(xs: np.ndarray, params: Params) -> np.ndarray:
 
 
 def F_hat_array(xs: np.ndarray, ys: np.ndarray, params: Params) -> tuple[np.ndarray, np.ndarray]:
-    n = _digit_array(xs, params)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        nx = -1.0 / xs - n
-        ny = -1.0 / (ys - n)
-    keep = xs != 0.0
-    nx[~keep] = 0.0
-    ny[~keep] = ys[~keep]
+    """One step of the Gauss-map natural extension, pushed CHUNK points at
+    a time; a point with x = 0 stays where it is."""
+    nx, ny = np.empty(len(xs)), np.empty(len(ys))
+    for i in range(0, len(xs), CHUNK):
+        x, y = xs[i : i + CHUNK], ys[i : i + CHUNK]
+        n = _digit_array(x, params)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            nx[i : i + CHUNK] = np.where(x != 0.0, -1.0 / x - n, 0.0)
+            ny[i : i + CHUNK] = np.where(x != 0.0, -1.0 / (y - n), y)
     return nx, ny
 
 
@@ -205,8 +257,9 @@ CDF_GRID = 512
 
 def _ks(vals: np.ndarray, cdf: Callable[[float], float]) -> float:
     """Sup distance between the empirical and the given distribution
-    function, on CDF_GRID evenly spaced points across the sample."""
-    vals = np.sort(vals)
+    function, on CDF_GRID evenly spaced points across the sample.  Sorts
+    vals in place: the caller passes an array it does not need again."""
+    vals.sort()
     grid = np.linspace(vals[0], vals[-1], CDF_GRID)
     emp = np.searchsorted(vals, grid, side="right") / len(vals)
     return float(np.abs(emp - np.array([cdf(v) for v in grid])).max())

@@ -43,8 +43,8 @@ class Params:
     eps: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.eps) and self.eps >= 0):
-            raise ParamError(f"eps must be finite and >= 0, got {self.eps}")
+        if not 0 <= self.eps < 0.5:
+            raise ParamError(f"eps must be finite and >= 0 and < 1/2, got {self.eps}")
         a, b = self.a, self.b
         if isinstance(a, float) != isinstance(b, float):
             raise ParamError("a and b must share one scalar backing")

@@ -155,6 +155,14 @@ def test_bad_eps_is_a_usage_error(capsys):
         assert captured.out == "" and "eps must be finite and >= 0" in captured.err
 
 
+def test_eps_from_one_half_is_a_usage_error(capsys):
+    # under eps 0.75 digit_float gave the digit 0 at x = 0.1, where rho takes T^-1
+    code = main(["expand", "--a", "-0.25", "--b", "0.75", "--eps", "0.75", "--x", "0.1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "< 1/2" in captured.err
+
+
 @pytest.mark.parametrize("ab,status,error", [
     (("-1", "0"), 1, "ValueError"),
     (("0", "1"), 1, "ValueError"),

@@ -1,5 +1,8 @@
 import math
+import runpy
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,6 +13,7 @@ from abcf import measures
 from abcf.attractor import build_attractor
 from abcf.cf import digit_float
 from abcf.measures import (
+    CHUNK,
     _box_uniforms,
     _digit_array,
     _li2,
@@ -35,6 +39,9 @@ from test_cf import f_hat_step
 
 SIMPLE = Params.make("-7/10", "4/5")
 M11 = Params.make("-1", "1")
+#: the 19-box boundary-line pair (1/k - 1, 1/k), k = 17
+K17 = Params.make("-16/17", "1/17")
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # -- the densities, point by point: the quadrature oracle's integrands -----
@@ -176,12 +183,13 @@ def _sample_nu_reference(params, n, seed):
     return out
 
 
-SAMPLER_PAIRS = [SIMPLE, M11, Params.make("-3/5", "3/4"), Params.make("-1", "1/2")]
+SAMPLER_PAIRS = [SIMPLE, M11, Params.make("-3/5", "3/4"), Params.make("-1", "1/2"), K17]
 
 
 @pytest.mark.parametrize("params", SAMPLER_PAIRS, ids=lambda p: f"{p.a},{p.b}")
 def test_sample_nu_matches_the_mask_reference(params):
-    for n in (1, 4096, 5000):
+    # the last three n draw m = 2n = CHUNK - 2, CHUNK and CHUNK + 2 candidates
+    for n in (1, 4096, 5000, CHUNK // 2 - 1, CHUNK // 2, CHUNK // 2 + 1):
         for seed in (3, 20):
             want = _sample_nu_reference(params, n, seed)
             assert sample_nu(params, n, seed).tobytes() == want.tobytes()
@@ -192,6 +200,80 @@ def test_sample_nu_second_round_matches_the_reference():
     # the 1e6 points short and the loop draws a second round
     p = Params.make("-1", "1/2")
     assert sample_nu(p, 1_000_000, 7).tobytes() == _sample_nu_reference(p, 1_000_000, 7).tobytes()
+
+
+def _box_uniforms_reference(rng, boxes, cdf, m):
+    """The picks of one random(m), then one boolean mask per box, all m
+    points at once."""
+    picks = (rng.random(m) >= cdf[:-1, None]).sum(0)
+    xs, ys = np.empty(m), np.empty(m)
+    for i, b in enumerate(boxes):
+        sel = picks == i
+        xs[sel] = rng.uniform(b.x_lo, b.x_hi, sel.sum())
+        ys[sel] = rng.uniform(b.y_lo, b.y_hi, sel.sum())
+    return xs, ys
+
+
+@pytest.mark.parametrize("params", [SIMPLE, K17], ids=lambda p: f"{p.a},{p.b}")
+@pytest.mark.parametrize("m", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+def test_box_uniforms_across_chunk_edges(params, m):
+    boxes = hat_domain(params).boxes
+    areas = np.array([(b.x_hi - b.x_lo) * (b.y_hi - b.y_lo) for b in boxes])
+    cdf = (areas / areas.sum()).cumsum()
+    cdf /= cdf[-1]
+    chunks = list(_box_uniforms(np.random.default_rng(9), boxes, cdf, m))
+    assert [len(xs) for xs, _ in chunks] == [min(CHUNK, m - i) for i in range(0, m, CHUNK)]
+    want = _box_uniforms_reference(np.random.default_rng(9), boxes, cdf, m)
+    for got, ref in zip(map(np.concatenate, zip(*chunks)), want):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_sample_nu_memory_is_the_output_and_the_picks():
+    # numpy reports its buffers to tracemalloc; the sampler that drew each
+    # round whole peaked at 82.8 MB in this setting: beside the output, about
+    # four arrays of m = 2n floats
+    hat_domain(SIMPLE)  # the domain is built once per pair, outside the trace
+    tracemalloc.start()
+    try:
+        out = sample_nu(SIMPLE, 1_000_000, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.nbytes + 2 * len(out)  # the output twice, plus the m = 2n pick bytes
+
+
+def _F_hat_reference(xs, ys, params):
+    """F_hat_array on all points at once, as first written."""
+    n = _digit_array(xs, params)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        nx = -1.0 / xs - n
+        ny = -1.0 / (ys - n)
+    keep = xs != 0.0
+    nx[~keep] = 0.0
+    ny[~keep] = ys[~keep]
+    return nx, ny
+
+
+@pytest.mark.parametrize("length", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
+def test_F_hat_array_across_chunk_edges(length):
+    rng = np.random.default_rng(length)
+    xs, ys = rng.uniform(-0.7, 0.8, length), rng.uniform(-1.0, 1.0, length)
+    # fixed points x = 0 on both sides of the first chunk edge
+    xs[[i for i in (0, CHUNK - 1, CHUNK) if i < length]] = 0.0
+    got = F_hat_array(xs, ys, SIMPLE)
+    want = _F_hat_reference(xs, ys, SIMPLE)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_measures_outputs_match_the_golden_hashes():
+    # `measures --n-points 200000` at seeds 7 and 3 on six pairs prints byte
+    # for byte what it printed when golden/measures.sha256 was written by
+    # golden/make_measures.py: several chunks a round, a second round on
+    # (-1, 1/2) and 19 boxes on (-16/17, 1/17)
+    got = runpy.run_path(str(GOLDEN / "make_measures.py"))["digests"]()
+    want = (GOLDEN / "measures.sha256").read_text().splitlines()
+    assert len(got) == len(want) == 12
+    assert [g for g, w in zip(got, want) if g != w] == []
 
 
 def test_invariance_check_is_pinned():
@@ -464,7 +546,7 @@ def test_box_picks_past_the_int8_range():
     boxes = tuple(Box(float(i), i + 0.5, 0.0, 1.0) for i in range(300))
     cdf = weights.cumsum()
     cdf /= cdf[-1]
-    xs, _ = _box_uniforms(np.random.default_rng(5), boxes, cdf, 20_000)
+    xs = np.concatenate([x for x, _ in _box_uniforms(np.random.default_rng(5), boxes, cdf, 20_000)])
     want = np.random.default_rng(5).choice(300, 20_000, p=weights)
     assert np.floor(xs).astype(np.int64).tolist() == want.tolist()
 

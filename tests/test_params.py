@@ -5,7 +5,9 @@ import pytest
 from abcf.params import ParamError, Params
 
 
-@pytest.mark.parametrize("eps", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+# from eps = 1/2 on, digit_float's snapped floor leaves rho's branch:
+# x - b = -0.75 snaps to -1 under eps 0.75, and 1 + (-1) gives the digit 0
+@pytest.mark.parametrize("eps", [-1.0, -1e-300, math.nan, math.inf, -math.inf, 0.5, 0.75])
 def test_bad_eps_rejected(eps):
     with pytest.raises(ParamError, match="eps"):
         Params.make("-7/10", "4/5", eps)
