@@ -38,14 +38,23 @@ class TerminatedExpansion(ValueError):
 def digit_float(x: float, a: float, b: float, eps: float) -> int:
     """digit_ab on floats.  x is below a (or b) unless it is within eps of
     it or above it, as Params.cmp decides; x - a (or x - b) snaps onto an
-    integer within eps before the floor."""
+    integer within eps before the floor.
+
+    As 0 <= eps < 1/2, the snap only moves the floor of d = x - a (or
+    x - b) where d lies within eps below c = ceil(d): the digit is c when
+    c - d <= eps, and c - 1 otherwise.  c - d is exact in floats (Sterbenz),
+    except where c = 1 and d < 1/2: there it rounds, but stays above 1/2 >
+    eps.  An integral d, every |d| >= 2^52 among them, is its own ceiling.
+    With m = floor(d) instead, d - m rounds for d just below 0, and m + 1
+    rounds back onto d from 2^53 up.  NaN raises ValueError and an
+    infinity OverflowError, as round(d) did."""
     d, n = x - a, 0
-    if abs(d) <= eps or d > 0:
+    if d >= -eps:
         d, n = x - b, 1
-        if not (abs(d) <= eps or d > 0):
+        if d < -eps:
             return 0
-    r = round(d)
-    return n + (r if abs(d - r) <= eps else math.floor(d))
+    c = math.ceil(d)
+    return n + c - (c - d > eps)
 
 
 def digit_ab(x: ExtReal, params: Params) -> int:

@@ -25,7 +25,6 @@ from typing import Callable
 import numpy as np
 
 from .attractor import build_attractor
-from .cf import digit_float
 from .natext import Box, Region, invariant_box_measure
 from .params import Params
 from .scalars import POS_INF, as_float
@@ -196,7 +195,7 @@ def sample_nu(params: Params, n: int, seed: int) -> np.ndarray:
         for xc in (b.x_lo, b.x_hi)
         for yc in (b.y_lo, b.y_hi)
     )
-    out = np.empty((n, 2))
+    out = np.empty((n, 2), order="F")  # each column contiguous, for F_hat_array
     filled = 0
     while filled < n:
         m = max(4096, 2 * (n - filled))
@@ -214,16 +213,15 @@ def sample_nu(params: Params, n: int, seed: int) -> np.ndarray:
     return out
 
 
-def _digit_array(xs: np.ndarray, params: Params) -> np.ndarray:
-    """cf.digit_float of -1/x, elementwise: the same eps-snapped cuts
-    (d >= -eps is abs(d) <= eps or d > 0) and the same snapped floor."""
+def _digit_array(us: np.ndarray, params: Params) -> np.ndarray:
+    """cf.digit_float of each u, elementwise, by the same rule: the cuts
+    d >= -eps, and ceil(d), less 1 where it lies more than eps above d."""
     a, b, eps = as_float(params.a), as_float(params.b), params.eps
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ys = -1.0 / xs
-        below, above = ys - a < -eps, ys - b >= -eps
-        d = np.where(below, ys - a, ys - b)
-        r = np.round(d)
-        n = np.where(np.abs(d - r) <= eps, r, np.floor(d)) + above
+    with np.errstate(over="ignore", invalid="ignore"):
+        below, above = us - a < -eps, us - b >= -eps
+        d = np.where(below, us - a, us - b)
+        c = np.ceil(d)
+        n = c - (c - d > eps) + above
         return np.where(below | above, n, 0).astype(np.int64)
 
 
@@ -233,9 +231,10 @@ def F_hat_array(xs: np.ndarray, ys: np.ndarray, params: Params) -> tuple[np.ndar
     nx, ny = np.empty(len(xs)), np.empty(len(ys))
     for i in range(0, len(xs), CHUNK):
         x, y = xs[i : i + CHUNK], ys[i : i + CHUNK]
-        n = _digit_array(x, params)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            nx[i : i + CHUNK] = np.where(x != 0.0, -1.0 / x - n, 0.0)
+            u = -1.0 / x
+            n = _digit_array(u, params)
+            nx[i : i + CHUNK] = np.where(x != 0.0, u - n, 0.0)
             ny[i : i + CHUNK] = np.where(x != 0.0, -1.0 / (y - n), y)
     return nx, ny
 
@@ -316,19 +315,38 @@ def birkhoff_average(
     The orbit restarts from a new uniform start when it escapes (x = 0 or
     not finite) or returns to the value it had at the last step divisible
     by 16: a float orbit that repeats is stuck in a cycle, and one of
-    period up to 16 is caught within 32 steps of entering it."""
+    period up to 16 is caught within 32 steps of entering it.
+
+    Each step inlines cf.digit_float's rule on y = -1/x, so the orbit is
+    the one digit_float gives, bit for bit: the digit is 0 from
+    a - eps to b - eps, and elsewhere c = ceil(d) of d = y - a (or y - b),
+    less 1 where c - d > eps, plus 1 from b - eps up; digit_float says why
+    that is exact.  The orbit is stored in a float array: a list of Python
+    floats would take 4 times the memory (a pointer and a 24-byte float
+    per step)."""
     rng = np.random.default_rng(seed)
     a, b, eps = as_float(params.a), as_float(params.b), params.eps
+    ceil, isfinite, neg_eps = math.ceil, math.isfinite, -eps
     x = rng.uniform(a, b)
     xs = np.empty(n_steps)
-    for i in range(n_steps):
-        xs[i] = x
-        if not i & 15:
-            mark = x
-        y = -1.0 / x
-        x = y - digit_float(y, a, b, eps)
-        if x == 0 or x == mark or not math.isfinite(x):
-            x = rng.uniform(a, b)  # escape or float cycle; restart (measure zero)
+    for start in range(0, n_steps, 16):
+        mark = x
+        for i in range(start, min(start + 16, n_steps)):
+            xs[i] = x
+            y = -1.0 / x
+            d = y - a
+            if d < neg_eps:
+                c = ceil(d)
+                x = y - (c - (c - d > eps))
+            else:
+                d = y - b
+                if d < neg_eps:
+                    x = y  # the digit is 0
+                else:
+                    c = ceil(d)
+                    x = y - (1 + c - (c - d > eps))
+            if x == 0 or x == mark or not isfinite(x):
+                x = rng.uniform(a, b)  # escape or float cycle; restart (measure zero)
     return float(np.mean(observable(xs)))
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -27,6 +28,18 @@ M = Params.make("-1", "0")  # minus (backward) chart
 def f_step(x, params):
     """One step of the piecewise map; fixes the point at infinity."""
     return rho(x, params).apply(x)
+
+
+def digit_float_round(x, a, b, eps):
+    """digit_float as first written: the nearest integer r = round(d) when
+    d is within eps of it, else floor(d)."""
+    d, n = x - a, 0
+    if abs(d) <= eps or d > 0:
+        d, n = x - b, 1
+        if not (abs(d) <= eps or d > 0):
+            return 0
+    r = round(d)
+    return n + (r if abs(d - r) <= eps else math.floor(d))
 
 
 def f_hat_step(x, params):
@@ -110,6 +123,40 @@ def test_digit_float_takes_the_branch_of_rho(a, b, eps):
     xs += [rng.uniform(a - 3, b + 3) for _ in range(2000)]
     for x in xs:
         assert _sign(digit_float(x, a, b, eps)) == _branch_sign(x, params), x
+
+
+def edge_floats(a, b, eps):
+    """Floats at and one ulp around a and b, the integers near them, the
+    points eps off each and the half-integer ties; the integral +-2^52,
+    2^53 and 2^60, +-1e300, and tiny values."""
+    anchors = [c + k for c in (a, b, 0.0) for k in range(-4, 5)]
+    xs = [c + off for c in anchors for off in (0.0, -eps, eps, -0.5, 0.5)]
+    xs += [math.nextafter(x, t) for x in list(xs) for t in (-math.inf, math.inf)]
+    xs += [s * v for s in (-1, 1) for v in (2.0**52, 2.0**53, 2.0**60, 1e300)]
+    xs += [s * v for s in (-1, 1) for v in (1e-300, 5e-324, eps)]
+    return xs
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 0.49])
+@pytest.mark.parametrize("a, b", [
+    (-0.7, 0.8),
+    (-0.25, 0.75),  # x - a just below 0 has bits under 2^-53
+    (-1.0, 0.0),
+    (0.0, 1.0),
+    (-0.5, (5**0.5 - 1) / 2),
+    (-1 / 3, 5 / 3),
+])
+def test_digit_float_is_the_round_form_on_edge_floats(a, b, eps):
+    rng = random.Random(f"{a},{b},{eps}")
+    xs = edge_floats(a, b, eps) + [rng.uniform(a - 20, b + 20) for _ in range(3000)]
+    xs += [rng.choice((-1, 1)) * 10.0 ** rng.uniform(-20, 20) for _ in range(1000)]
+    for x in xs:
+        assert digit_float(x, a, b, eps) == digit_float_round(x, a, b, eps), x
+    for x, exc in ((math.nan, ValueError), (math.inf, OverflowError), (-math.inf, OverflowError)):
+        with pytest.raises(exc):
+            digit_float_round(x, a, b, eps)
+        with pytest.raises(exc):
+            digit_float(x, a, b, eps)
 
 
 def test_exact_digit_takes_the_branch_of_rho():

@@ -1,6 +1,7 @@
 import math
 import runpy
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from abcf.measures import (
 from abcf.natext import Box
 from abcf.params import ParamError, Params
 from abcf.scalars import as_float
-from test_cf import f_hat_step
+from test_cf import digit_float_round, edge_floats, f_hat_step
 
 
 SIMPLE = Params.make("-7/10", "4/5")
@@ -244,8 +245,8 @@ def test_sample_nu_memory_is_the_output_and_the_picks():
 
 def _F_hat_reference(xs, ys, params):
     """F_hat_array on all points at once, as first written."""
-    n = _digit_array(xs, params)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        n = _digit_array(-1.0 / xs, params)
         nx = -1.0 / xs - n
         ny = -1.0 / (ys - n)
     keep = xs != 0.0
@@ -506,6 +507,84 @@ def test_birkhoff_average_leaves_a_float_cycle():
     assert abs(avg - entropy_closed(SIMPLE)) < 1e-2
 
 
+def _birkhoff_reference(params, observable, n_steps, seed):
+    """birkhoff_average as first written: a digit_float call per step, on
+    the round form of the digit rule."""
+    rng = np.random.default_rng(seed)
+    a, b, eps = as_float(params.a), as_float(params.b), params.eps
+    x = rng.uniform(a, b)
+    xs = np.empty(n_steps)
+    for i in range(n_steps):
+        xs[i] = x
+        if not i & 15:
+            mark = x
+        y = -1.0 / x
+        x = y - digit_float_round(y, a, b, eps)
+        if x == 0 or x == mark or not math.isfinite(x):
+            x = rng.uniform(a, b)
+    return float(np.mean(observable(xs)))
+
+
+def _orbit_and_average(birkhoff, params, n_steps, seed):
+    captured = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the mean of no steps
+        avg = birkhoff(params, lambda xs: captured.append(xs.copy()) or xs, n_steps, seed)
+    return captured[0].tobytes(), np.float64(avg).tobytes()
+
+
+#: b = 0, b > 1, a surd pair, a float pair, and eps at both ends of its
+#: range
+ORBIT_PAIRS = [
+    Params.make("-1", "0"),
+    Params.make("-1/2", "3/2"),
+    Params.make("-1/2", "golden"),
+    Params.make(-0.7, 0.8),
+    Params.make("-7/10", "4/5", eps=0.0),
+    Params.make("-7/10", "4/5", eps=0.49),
+]
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 15, 16, 17, 50_001])
+@pytest.mark.parametrize("params", ORBIT_PAIRS, ids=lambda p: f"{p.a},{p.b},{p.eps}")
+def test_birkhoff_orbit_is_the_reference_orbit(params, n_steps):
+    got = _orbit_and_average(birkhoff_average, params, n_steps, seed=3)
+    assert got == _orbit_and_average(_birkhoff_reference, params, n_steps, seed=3)
+
+
+def test_birkhoff_orbit_leaves_the_float_cycle_as_the_reference_does():
+    got = _orbit_and_average(birkhoff_average, SIMPLE, 800_000, seed=73)
+    assert got == _orbit_and_average(_birkhoff_reference, SIMPLE, 800_000, seed=73)
+
+
+class _ScriptedStarts:
+    """A stand-in for numpy's generator whose uniform draws are given."""
+
+    def __init__(self, starts):
+        self._starts = iter(starts)
+
+    def uniform(self, lo, hi):
+        return next(self._starts)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 0.49])
+@pytest.mark.parametrize(
+    "ab", [("-1", "1"), ("-1/2", "1/2"), ("-7/10", "4/5"), ("-1", "0"), ("-1/4", "3/4")], ids=",".join
+)
+def test_birkhoff_step_is_the_reference_step_on_edge_floats(monkeypatch, ab, eps):
+    # the orbits above meet a cut or an integer exactly with probability 0,
+    # so each start here is -1/y for a y at or next to one
+    params = Params.make(*ab, eps=eps)
+    for y in edge_floats(as_float(params.a), as_float(params.b), eps):
+        x0 = -1.0 / y if y else math.inf
+        if not math.isfinite(x0):
+            continue
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _ScriptedStarts([x0, 0.25, 0.25]))
+        # the first two points of the orbit from x0, restarts going to 1/4
+        got = _orbit_and_average(birkhoff_average, params, 2, seed=None)
+        assert got == _orbit_and_average(_birkhoff_reference, params, 2, seed=None), (y, x0)
+
+
 def test_birkhoff_average_surd_pair():
     avg = birkhoff_average(Params.make("-1/2", "golden"), np.cos, 20_000, seed=3)
     assert math.isfinite(avg) and 0.0 < avg <= 1.0
@@ -589,9 +668,9 @@ def test_digit_array_is_digit_float_of_minus_one_over_x():
     )
     xs = -1.0 / ys
     want = [digit_float(-1.0 / x, a, b, eps) for x in xs]
-    assert _digit_array(xs, SIMPLE).tolist() == want
+    assert _digit_array(-1.0 / xs, SIMPLE).tolist() == want
     # -1/x just below b lies on b (digit 1), and -1/x - b just below 2
     # snaps to 2 (digit 3)
     xs = -1.0 / np.array([b - 1e-13, 2.8 - 1e-13])
-    assert _digit_array(xs, SIMPLE).tolist() == [1, 3]
+    assert _digit_array(-1.0 / xs, SIMPLE).tolist() == [1, 3]
     assert [digit_float(-1.0 / x, a, b, eps) for x in xs] == [1, 3]
