@@ -9,10 +9,10 @@ glues the segment at Sb to the next level above and the segment at Sa
 to the next level below.  Everything here is exact: corners come out as
 rationals or quadratic surds, adjacency of segments is checked by exact
 comparison, and the bijectivity of the reduction map on the domain is
-certified by an exact sweep over the y-cuts of the domain and its images:
-in every band between two consecutive cuts the images' x-intervals must
-chain exactly across the domain's (at most two half-lines).  A band that
-fails counts its own defect cells on the x-cuts of all the boxes and
+certified by one sweep over the boxes of the domain and its images: their
+x sides and their y sides are ranked exactly, once each, and in every band
+between two consecutive y-cuts a count of the pieces and the images over
+each stretch between x-cuts finds the defect cells, integers only, and
 measures each run of them as one box; no grid of the domain is built.
 The float checks against the Monte Carlo oracle (contains_array,
 compare_with_oracle, reduction_scan) import numpy on first use, so the
@@ -22,6 +22,7 @@ construction and its proofs run without it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -484,56 +485,21 @@ class BijectivityReport:
 
 def _ranks(values: list[Bound]) -> tuple[list[Bound], list[int]]:
     """The distinct values in ascending order, and the position of each
-    given value among them."""
+    given value among them.  as_float rounds correctly, so values whose
+    floats differ are distinct and in the order of their floats: only a
+    run of equal floats is sorted, and split, by exact comparison."""
+    keys = [as_float(v) for v in values]
     cuts: list[Bound] = []
     ranks = [0] * len(values)
-    order = _exact_sorted(
-        enumerate(values), lambda e: as_float(e[1]), lambda e, f: cmp_bound(e[1], f[1])
-    )
-    for i, v in order:
-        if not cuts or cmp_bound(cuts[-1], v) != 0:
-            cuts.append(v)
-        ranks[i] = len(cuts) - 1
+    order = sorted(range(len(values)), key=keys.__getitem__)
+    exact = functools.cmp_to_key(lambda i, j: cmp_bound(values[i], values[j]))
+    for _, run in itertools.groupby(order, keys.__getitem__):
+        fresh = len(cuts)
+        for i in sorted(run, key=exact):
+            if len(cuts) == fresh or cmp_bound(cuts[-1], values[i]) != 0:
+                cuts.append(values[i])
+            ranks[i] = len(cuts) - 1
     return cuts, ranks
-
-
-def _row_tiles(pieces: list[Box], images: list[Box]) -> bool:
-    """Whether the images, sorted by x_lo, chain exactly across each of the
-    domain's pieces, sorted and disjoint, with no image left over."""
-    rest = iter(images)
-    edge: Bound = NEG_INF
-    for d in pieces:
-        if cmp_bound(edge, d.x_lo) > 0:
-            return False  # the pieces overlap
-        at = d.x_lo
-        while cmp_bound(at, d.x_hi) < 0:
-            im = next(rest, None)
-            if im is None or cmp_bound(im.x_lo, at) != 0:
-                return False
-            at = im.x_hi
-        if cmp_bound(at, d.x_hi) != 0:
-            return False
-        edge = d.x_hi
-    return next(rest, None) is None
-
-
-def _bands(
-    domain: tuple[Box, ...], images: list[Box]
-) -> tuple[list[Bound], list[tuple[list[Box], list[Box]]]]:
-    """The y-cuts of all the boxes, and the band between each two
-    consecutive cuts: the domain's pieces and the images across it, each by
-    ascending x_lo."""
-    tagged = _exact_sorted(
-        [(0, bx) for bx in domain] + [(1, bx) for bx in images],
-        lambda t: as_float(t[1].x_lo),
-        lambda t, u: cmp_bound(t[1].x_lo, u[1].x_lo),
-    )
-    ys, ranks = _ranks([v for _, bx in tagged for v in (bx.y_lo, bx.y_hi)])
-    bands: list[tuple[list[Box], list[Box]]] = [([], []) for _ in ys[1:]]
-    for k, (side, bx) in enumerate(tagged):
-        for j in range(ranks[2 * k], ranks[2 * k + 1]):
-            bands[j][side].append(bx)
-    return ys, bands
 
 
 def locking_segments(dom: RectDomain) -> list[tuple[ExtReal, Bound, Bound]]:
@@ -564,29 +530,31 @@ def _branch_images(dom: RectDomain) -> tuple[Region, list[Box]]:
 def verify_bijectivity(dom: RectDomain) -> BijectivityReport:
     """Cut the domain along the branches of the map -- below a, on [a, b]
     and above b -- map the three parts by T, S and T^-1, and certify by a
-    sweep in y that the images tile the domain: in every band between two
-    consecutive y-cuts they chain exactly across the domain's pieces.  Such
-    a band covers each of its cells once, by the domain and by the images
-    alike; a band that fails counts its own defect cells on the x-cuts of
-    all the boxes, ranked only then, and measures each run of them once."""
+    sweep in y that the images tile the domain.  The x sides of all the
+    boxes are ranked once, and their y sides once; from then on the sweep
+    reads integers only.  In every band between two consecutive y-cuts it
+    counts the domain pieces and the images over each stretch between
+    x-cuts: a stretch of one piece must lie under one image, and a stretch
+    of no piece under none (two pieces over a stretch raise).  The defect
+    cells alone decide ok, and each run of overlap or uncovered cells is
+    measured as one box."""
+    locking = locking_segments(dom)  # its exact comparisons come before the ranking
     region, images = _branch_images(dom)
-    ys, bands = _bands(region.boxes, images)
-    failing = [j for j, band in enumerate(bands) if not _row_tiles(*band)]
+    boxes = [*region.boxes, *images]
+    xs, xr = _ranks([v for bx in boxes for v in (bx.x_lo, bx.x_hi)])
+    ys, yr = _ranks([v for bx in boxes for v in (bx.y_lo, bx.y_hi)])
+    # per band, how many domain pieces and images start (+1) and end (-1) at each x-cut
+    bands: list[dict[int, list[int]]] = [{} for _ in ys[1:]]
+    for k in range(len(boxes)):
+        lo, hi = xr[2 * k], xr[2 * k + 1]
+        if lo < hi:
+            side = int(k >= len(region.boxes))
+            for deltas in bands[yr[2 * k] : yr[2 * k + 1]]:
+                deltas.setdefault(lo, [0, 0])[side] += 1
+                deltas.setdefault(hi, [0, 0])[side] -= 1
     cells = [0, 0, 0]  # overlap, uncovered, escaped
     runs: tuple[list[Box], list[Box]] = ([], [])  # the overlap and the uncovered runs
-    if failing:
-        boxes = [*region.boxes, *images]
-        xs, ranks = _ranks([v for bx in boxes for v in (bx.x_lo, bx.x_hi)])
-        cols = {id(bx): ranks[2 * k : 2 * k + 2] for k, bx in enumerate(boxes)}
-    for j in failing:
-        # how many domain pieces and images start (+1) and end (-1) at each x-cut
-        deltas: dict[int, list[int]] = {}
-        for side, group in enumerate(bands[j]):
-            for bx in group:
-                lo, hi = cols[id(bx)]
-                if lo < hi:
-                    deltas.setdefault(lo, [0, 0])[side] += 1
-                    deltas.setdefault(hi, [0, 0])[side] -= 1
+    for j, deltas in enumerate(bands):
         cuts = sorted(deltas)
         n_pieces = n_images = 0
         for i0, i1 in zip(cuts, cuts[1:]):
@@ -604,7 +572,7 @@ def verify_bijectivity(dom: RectDomain) -> BijectivityReport:
         *cells,
         overlap_measure=math.fsum(map(invariant_box_measure, runs[0])),
         uncovered_measure=math.fsum(map(invariant_box_measure, runs[1])),
-        locking_segments=locking_segments(dom),
+        locking_segments=locking,
         ok=not any(cells),
     )
 
@@ -704,8 +672,6 @@ def reduction_scan(dom: RectDomain, grid: int, cap: int = 10_000) -> ScanReport:
     report the fraction reaching the domain within the cap."""
     if grid < 0:
         raise ValueError("grid >= 0")
-    if grid == 0:
-        return ScanReport(float("nan"), 0, 0, 0)
     import numpy as np
 
     params = dom.params
@@ -715,6 +681,8 @@ def reduction_scan(dom: RectDomain, grid: int, cap: int = 10_000) -> ScanReport:
     keep = np.abs(xs - ys) > DIAGONAL_MARGIN
     xs, ys = xs[keep], ys[keep]
     n = len(xs)
+    if not n:  # grid 0, or grid 1 (its one point lies on the diagonal)
+        return ScanReport(math.nan, 0, 0, 0)
     hit_time = np.full(n, -1, dtype=np.int64)
     idx = np.arange(n)  # the grid index of each point not yet in the domain
     for t in range(cap + 1):

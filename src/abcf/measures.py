@@ -347,7 +347,11 @@ def birkhoff_average(
                     x = y - (1 + c - (c - d > eps))
             if x == 0 or x == mark or not isfinite(x):
                 x = rng.uniform(a, b)  # escape or float cycle; restart (measure zero)
-    return float(np.mean(observable(xs)))
+    values = observable(xs)
+    if len(values):
+        return float(np.mean(values))
+    with np.errstate(invalid="ignore"):
+        return float(np.float64(0) / 0)  # np.mean's nan for no steps, bit for bit, unwarned
 
 
 def measures_report(params: Params, n_points: int = 1_000_000, seed: int = 7) -> dict:

@@ -6,6 +6,7 @@ three decimals: identical inputs produce identical bytes.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from .attractor import RectDomain
@@ -18,8 +19,9 @@ SIZE = 800.0
 class _Frame:
     def __init__(self, window: tuple[float, float, float, float]):
         x0, x1, y0, y1 = window
-        if not (x1 > x0 and y1 > y0):
-            raise ValueError("window must have positive extent")
+        # an infinite extent (or one that overflows) would scale by 0, and inf * 0 is nan
+        if not (0 < x1 - x0 < math.inf and 0 < y1 - y0 < math.inf):
+            raise ValueError("window must have positive, finite extent")
         self.x0, self.x1, self.y0, self.y1 = x0, x1, y0, y1
         self.sx = SIZE / (x1 - x0)
         self.sy = SIZE / (y1 - y0)

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import gc
 import math
+import warnings
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -295,29 +296,47 @@ def _near_exceptional_b():
     return exceptional_b(m, plan, 1e-10).b_mid
 
 
-def test_no_grid_when_the_tiling_holds(monkeypatch):
-    # a passing tiling ranks only its y-cuts: the x-cuts are ranked for the
-    # defects of failing bands alone
-    calls = []
+def test_the_sweep_compares_only_ranks(monkeypatch):
+    # verify_bijectivity ranks the x sides of all the boxes once and their
+    # y sides once; after that the sweep compares integers only, in the
+    # bands that tile and in those that fail alike.  The Zagier pair's
+    # strong cycles add locking segments, found before the ranking
+    log = []
 
-    def counted(values):
-        calls.append(len(values))
-        return _ranks(values)
+    def ranked(values):
+        log.append(list(values))
+        out = _ranks(values)
+        log.append("ranked")
+        return out
 
-    monkeypatch.setattr(attractor, "_ranks", counted)
+    def compared(u, v):
+        log.append("cmp")
+        return cmp_bound(u, v)
+
+    def same(us, vs):
+        return len(us) == len(vs) and all(cmp_bound(u, v) == 0 for u, v in zip(us, vs))
+
     b = _near_exceptional_b()
     k = 53
-    for p, levels in ((Params(Fraction(1, k) - 1, Fraction(1, k)), 422), (Params(b - 1, b), 926)):
+    pairs = ((Z, 12), (Params(Fraction(1, k) - 1, Fraction(1, k)), 422), (Params(b - 1, b), 926))
+    for p, levels in pairs:
         dom = build_attractor(p)
         assert len(dom.upper) + len(dom.lower) == levels
-        calls.clear()
-        assert verify_bijectivity(dom).ok
-        assert len(calls) == 1
-        s = dom.lower[2]
-        dom.lower[2] = dataclasses.replace(s, x_lo=s.x_lo + Fraction(1, 100))
-        calls.clear()
-        assert not verify_bijectivity(dom).ok
-        assert calls == [calls[0], calls[0]]  # the y sides, then the x sides
+        lower = list(dom.lower)
+        lower[2] = dataclasses.replace(lower[2], x_lo=lower[2].x_lo + Fraction(1, 100))
+        for d, ok in ((dom, True), (dataclasses.replace(dom, lower=lower), False)):
+            region, images = attractor._branch_images(d)
+            boxes = [*region.boxes, *images]
+            with monkeypatch.context() as m:
+                m.setattr(attractor, "_ranks", ranked)
+                m.setattr(attractor, "cmp_bound", compared)
+                log.clear()
+                assert verify_bijectivity(d).ok is ok
+            ranks = [i for i, e in enumerate(log) if isinstance(e, list)]
+            assert len(ranks) == 2 and "cmp" in log[ranks[0] : ranks[1]]
+            assert same(log[ranks[0]], [v for bx in boxes for v in (bx.x_lo, bx.x_hi)])
+            assert same(log[ranks[1]], [v for bx in boxes for v in (bx.y_lo, bx.y_hi)])
+            assert "cmp" not in log[log.index("ranked", ranks[1]) :]
 
 
 def test_bijectivity_reports_a_near_exceptional_gap(monkeypatch):
@@ -391,6 +410,20 @@ def test_exact_sorted_is_the_exact_sort(items):
     assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(bound_lists())
+def test_ranks_are_the_exact_ranks(values):
+    # the cuts are the distinct values in exact order, each the first of its
+    # equals, and every value's rank finds its cut
+    cuts, ranks = _ranks(values)
+    want = []
+    for v in sorted(values, key=functools.cmp_to_key(cmp_bound)):
+        if not want or cmp_bound(want[-1], v) != 0:
+            want.append(v)
+    assert len(cuts) == len(want) and all(c is w for c, w in zip(cuts, want))
+    assert all(cmp_bound(cuts[r], v) == 0 for r, v in zip(ranks, values))
+
+
 def test_boundary_absorption_strong_cycles():
     # both-strong parameters: every boundary segment is eventually interior
     for pair in [("-4/5", "2/5"), ("-7/10", "4/5")]:
@@ -458,9 +491,14 @@ def test_reduction_scan_zagier():
 
 
 def test_reduction_scan_empty_grid():
+    # grid 1 has one lattice point, on the diagonal, where it is dropped;
+    # no points give a nan coverage, and no numpy warning
     dom = build_attractor(Z)
-    rep = reduction_scan(dom, grid=0)
-    assert rep.n_points == 0 and np.isnan(rep.coverage)
+    for grid in (0, 1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = reduction_scan(dom, grid=grid)
+        assert (rep.max_time, rep.n_points, rep.unresolved) == (0, 0, 0) and np.isnan(rep.coverage)
 
 
 def test_float_params_rejected():

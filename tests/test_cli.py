@@ -237,6 +237,14 @@ def test_plot_byte_deterministic(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+def test_infinite_svg_window_exits_1(tmp_path, capsys):
+    # the extent 2 * 1e308 overflows to inf, like the window inf itself
+    out = str(tmp_path / "x.svg")
+    for argv in (["attractor", "--format", "svg", "--window", "inf"], ["plot", "--window", "1e308"]):
+        _assert_json_error(capsys, [*argv, "--a", "-4/5", "--b", "2/5", "--out", out], 1, "ValueError")
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_unwritable_out_exits_1(tmp_path, capsys):
     _assert_json_error(capsys, ["plot", "--a", "-1/2", "--b", "1/2",
                                 "--out", str(tmp_path / "missing" / "x.svg")],

@@ -507,6 +507,14 @@ def test_birkhoff_average_leaves_a_float_cycle():
     assert abs(avg - entropy_closed(SIMPLE)) < 1e-2
 
 
+def test_birkhoff_average_of_no_steps_is_nan_without_warnings():
+    seen = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        avg = birkhoff_average(SIMPLE, lambda xs: seen.append(len(xs)) or np.cos(xs), 0, seed=3)
+    assert math.isnan(avg) and seen == [0]  # the empty orbit still meets the observable
+
+
 def _birkhoff_reference(params, observable, n_steps, seed):
     """birkhoff_average as first written: a digit_float call per step, on
     the round form of the digit rule."""

@@ -58,6 +58,11 @@ def test_empty_cloud_boundary_only():
 
 
 def test_bad_window_rejected():
+    # an empty window, and windows whose extent is not finite: infinite, or
+    # 2 * 1e308, which overflows (a scale of 0 would write nan into the path)
     dom = build_attractor(Params.make("-1", "1"))
-    with pytest.raises(ValueError):
-        render_svg(dom, None, (1.0, 1.0, -4.0, 4.0))
+    inf = float("inf")
+    for window in ((1.0, 1.0, -4.0, 4.0), (-inf, inf, -inf, inf), (-1e308, 1e308, -1e308, 1e308),
+                   (-4.0, 4.0, -4.0, inf)):
+        with pytest.raises(ValueError):
+            render_svg(dom, None, window)
