@@ -195,7 +195,7 @@ def sample_nu(params: Params, n: int, seed: int) -> np.ndarray:
         for xc in (b.x_lo, b.x_hi)
         for yc in (b.y_lo, b.y_hi)
     )
-    out = np.empty((n, 2), order="F")  # each column contiguous, for F_hat_array
+    out = np.empty((n, 2), order="F")  # each column contiguous, pushed forward in place
     filled = 0
     while filled < n:
         m = max(4096, 2 * (n - filled))
@@ -226,22 +226,26 @@ def _digit_array(us: np.ndarray, params: Params) -> np.ndarray:
 
 
 def F_hat_array(xs: np.ndarray, ys: np.ndarray, params: Params) -> tuple[np.ndarray, np.ndarray]:
-    """One step of the Gauss-map natural extension, pushed CHUNK points at
-    a time; a point with x = 0 stays where it is."""
-    nx, ny = np.empty(len(xs)), np.empty(len(ys))
+    """One step of the Gauss-map natural extension, in place: xs and ys are
+    overwritten with the image, CHUNK points at a time (u = -1/x, the digit
+    and the x != 0 mask first, then y, then x), and returned.  A point with
+    x = 0 stays where it is."""
     for i in range(0, len(xs), CHUNK):
         x, y = xs[i : i + CHUNK], ys[i : i + CHUNK]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             u = -1.0 / x
             n = _digit_array(u, params)
-            nx[i : i + CHUNK] = np.where(x != 0.0, u - n, 0.0)
-            ny[i : i + CHUNK] = np.where(x != 0.0, -1.0 / (y - n), y)
-    return nx, ny
+            keep = x != 0.0
+            y[:] = np.where(keep, -1.0 / (y - n), y)
+            x[:] = np.where(keep, u - n, 0.0)
+    return xs, ys
 
 
 def invariance_check(params: Params, n_points: int, seed: int) -> float:
     """KS-style sup discrepancy between the one-step pushforward of an
-    invariant sample and the exact marginal distribution functions."""
+    invariant sample and the exact marginal distribution functions.  The
+    sample's columns are pushed forward and sorted in place, so the peak
+    memory is the (n, 2) float sample and sample_nu's 2n pick bytes."""
     if n_points == 0:
         return float("nan")
     pts = sample_nu(params, n_points, seed)
@@ -257,7 +261,8 @@ CDF_GRID = 512
 def _ks(vals: np.ndarray, cdf: Callable[[float], float]) -> float:
     """Sup distance between the empirical and the given distribution
     function, on CDF_GRID evenly spaced points across the sample.  Sorts
-    vals in place: the caller passes an array it does not need again."""
+    vals in place, with no copy: invariance_check passes a column of the
+    pushed-forward sample, which it does not need again."""
     vals.sort()
     grid = np.linspace(vals[0], vals[-1], CDF_GRID)
     emp = np.searchsorted(vals, grid, side="right") / len(vals)

@@ -79,7 +79,14 @@ class Mobius:
     def apply(self, x: ExtReal) -> ExtReal:
         """(a p + b q)/(c p + d q) for x = p/q, INF = 1/0, other scalars x/1.
         For p, q coprime it needs no gcd: a common divisor of a p + b q and
-        c p + d q divides (ad - bc) p = p and (ad - bc) q = q."""
+        c p + d q divides (ad - bc) p = p and (ad - bc) q = q.
+
+        A surd x = (p + q sqrt(e))/r is one quotient over sqrt(e): (a p + b
+        r + a q sqrt(e))/(c p + d r + c q sqrt(e)), whose denominator is not
+        0, as x is irrational."""
+        if isinstance(x, Surd):
+            a, b, c, d = self.a, self.b, self.c, self.d
+            return x._quotient((a * x.p + b * x.r, a * x.q, 1), (c * x.p + d * x.r, c * x.q, 1))
         if isinstance(x, Infinity):
             p, q = 1, 0
         elif isinstance(x, Fraction):

@@ -127,7 +127,7 @@ class Surd:
     to ``Fraction``.
     """
 
-    __slots__ = ("p", "q", "r", "d")
+    __slots__ = ("p", "q", "r", "d", "_float")
 
     def __init__(self, p: int, q: int, r: int, d: int) -> None:
         self.p = p
@@ -259,10 +259,16 @@ class Surd:
     def __float__(self) -> float:
         """The value correctly rounded, however much p and q*sqrt(d) cancel:
         the enclosure is refined until its ends round to one float (int / int
-        rounds correctly) and share a sign."""
+        rounds correctly) and share a sign.  The result is kept, so each
+        surd walks its enclosures once."""
+        try:
+            return self._float
+        except AttributeError:
+            pass
         for ((lo, hi, den),) in _enclosures(self):
             if lo / den == hi / den and (lo < 0) == (hi < 0):
-                return lo / den
+                self._float = lo / den
+                return self._float
         raise PrecisionError(f"float of {self!r} undecided")  # pragma: no cover
 
 

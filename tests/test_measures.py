@@ -243,6 +243,21 @@ def test_sample_nu_memory_is_the_output_and_the_picks():
     assert peak < 2 * out.nbytes + 2 * len(out)  # the output twice, plus the m = 2n pick bytes
 
 
+def test_invariance_check_memory_is_one_sample():
+    # the pushforward lands in the sample itself: beside it and the sampler's
+    # m = 2n pick bytes, only arrays of CHUNK floats; with a second n-sized
+    # output the check peaked at 35.8 MB in this setting
+    n = 1_000_000
+    hat_domain(SIMPLE)  # the domain is built once per pair, outside the trace
+    tracemalloc.start()
+    try:
+        invariance_check(SIMPLE, n, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n + 2 * n + 16 * 8 * CHUNK
+
+
 def _F_hat_reference(xs, ys, params):
     """F_hat_array on all points at once, as first written."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -261,8 +276,9 @@ def test_F_hat_array_across_chunk_edges(length):
     xs, ys = rng.uniform(-0.7, 0.8, length), rng.uniform(-1.0, 1.0, length)
     # fixed points x = 0 on both sides of the first chunk edge
     xs[[i for i in (0, CHUNK - 1, CHUNK) if i < length]] = 0.0
+    want = _F_hat_reference(xs.copy(), ys.copy(), SIMPLE)
     got = F_hat_array(xs, ys, SIMPLE)
-    want = _F_hat_reference(xs, ys, SIMPLE)
+    assert got[0] is xs and got[1] is ys  # pushed forward in place
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 

@@ -158,6 +158,20 @@ def test_apply_on_rationals_is_the_fraction_formula():
         assert m.apply(k) == m.apply(Fraction(k)) and type(m.apply(k)) is type(m.apply(Fraction(k)))
 
 
+def test_apply_on_surds_is_the_surd_formula():
+    # one quotient over sqrt(d) gives the canonical (p, q, r, d) of (a x +
+    # b)/(c x + d) in Surd arithmetic; 23058812973 = 1031^2 * 21693 keeps
+    # a square factor past the sieve
+    rng = random.Random(23)
+    for _ in range(400):
+        m = from_word(rand_word(rng, rng.randint(0, 30)))
+        d = rng.choice([2, 3, 5, 8, 21693, 23058812973])
+        q = rng.choice([-1, 1]) * rng.randint(1, 10**3)
+        x = Surd.make(rng.randint(-(10**6), 10**6), q, rng.randint(1, 10**6), d)
+        y, want = m.apply(x), (m.a * x + m.b) / (m.c * x + m.d)
+        assert type(y) is Surd and (y.p, y.q, y.r, y.d) == (want.p, want.q, want.r, want.d)
+
+
 def test_minus_cf_matrix_is_the_product_of_T_pow_S():
     rng = random.Random(29)
     assert minus_cf_matrix([]) == IDENTITY

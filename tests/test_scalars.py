@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from abcf import scalars
 from abcf.cf import evaluate_minus_cf
 from abcf.scalars import (
     INF,
@@ -46,6 +47,16 @@ def test_surd_golden_identity():
     g = Surd.make(1, 1, 2, 5)  # (1+sqrt5)/2
     assert g * g == g + 1
     assert 1 / g == g - 1
+
+
+def test_surd_float_walks_its_enclosures_once(monkeypatch):
+    calls = []
+    real = scalars._enclosures
+    monkeypatch.setattr(scalars, "_enclosures", lambda *xs, **kw: calls.append(xs) or real(*xs, **kw))
+    g = Surd.make(1, 1, 2, 5)
+    assert float(g) == 1.618033988749895 and len(calls) == 1
+    assert float(g) == as_float(g) == 1.618033988749895 and len(calls) == 1  # kept
+    assert float(-g) == -1.618033988749895 and len(calls) == 2  # a new object
 
 
 def test_mixed_fields_error():
