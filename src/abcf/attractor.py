@@ -7,13 +7,14 @@ two boundary rays [-oo, x_b] x {b} and [x_a, oo] x {a} along its orbit
 word; the unknown corners x_a, x_b solve the two-equation system that
 glues the segment at Sb to the next level above and the segment at Sa
 to the next level below.  Everything here is exact: corners come out as
-rationals or quadratic surds, adjacency of segments is checked by exact
-comparison, and the bijectivity of the reduction map on the domain is
-certified by one sweep over the boxes of the domain and its images: their
-x sides and their y sides are ranked exactly, once each, and in every band
-between two consecutive y-cuts a count of the pieces and the images over
-each stretch between x-cuts finds the defect cells, integers only, and
-measures each run of them as one box; no grid of the domain is built.
+rationals or quadratic surds, _ranks ranks the levels once per pair and
+every staircase is ordered by those ranks, adjacency of segments is
+checked by exact comparison, and the bijectivity of the reduction map on
+the domain is certified by one sweep over the boxes of the domain and its
+images: _ranks ranks their x sides and their y sides, once each, and in
+every band between two consecutive y-cuts a count of the pieces and the
+images over each stretch between x-cuts finds the defect cells, integers
+only, and measures each run of them as one box; no grid is built.
 The float checks against the Monte Carlo oracle (contains_array,
 compare_with_oracle, reduction_scan) import numpy on first use, so the
 construction and its proofs run without it.
@@ -64,14 +65,24 @@ class ConstructionError(RuntimeError):
     failed_endpoint: Optional[str] = None
 
 
-def _exact_sorted(items, fkey, cmp) -> list:
-    """sorted(items, key=cmp_to_key(cmp)), element for element.  The stable
-    presort by fkey keeps cmp-equal items in input order, as long as it
-    gives them equal keys, and leaves the exact sort nearly sorted input,
-    which it orders in about len(items) comparisons.  Keys built from
-    as_float qualify: it rounds correctly, so it is monotone and gives
-    equal values equal floats, whatever their representation."""
-    return sorted(sorted(items, key=fkey), key=functools.cmp_to_key(cmp))
+def _ranks(values: list[Bound]) -> tuple[list[Bound], list[int]]:
+    """The distinct values in ascending order, and the position of each
+    given value among them.  as_float rounds correctly, so values whose
+    floats differ are distinct and in the order of their floats: only a
+    run of equal floats is sorted, and split, by exact comparison.  The one
+    exact sort: of the levels in the build, of the box sides in the tiling."""
+    keys = [as_float(v) for v in values]
+    cuts: list[Bound] = []
+    ranks = [0] * len(values)
+    order = sorted(range(len(values)), key=keys.__getitem__)
+    exact = functools.cmp_to_key(lambda i, j: cmp_bound(values[i], values[j]))
+    for _, run in itertools.groupby(order, keys.__getitem__):
+        fresh = len(cuts)
+        for i in sorted(run, key=exact):
+            if len(cuts) == fresh or cmp_bound(cuts[-1], values[i]) != 0:
+                cuts.append(values[i])
+            ranks[i] = len(cuts) - 1
+    return cuts, ranks
 
 
 Chain = Literal["La", "Lb", "Ua", "Ub"]
@@ -237,12 +248,17 @@ def _entries(tro: TruncatedOrbits) -> tuple[list[LevelEntry], list[LevelEntry]]:
     return lower, upper
 
 
-def _sorted_steps(entries: list[LevelEntry], x_a: ExtReal, x_b: ExtReal) -> list[Step]:
-    def cmp(s1: Step, s2: Step) -> int:
-        return cmp_bound(s1.y, s2.y) or cmp_bound(s1.x_lo, s2.x_lo)
-
+def _sorted_steps(
+    entries: list[LevelEntry], rank: list[int], x_a: ExtReal, x_b: ExtReal
+) -> list[Step]:
+    """The entries' segments for the corners (x_a, x_b), by the rank of their
+    level (rank[i] is entries[i]'s) and, on one level, by x_lo, the only
+    exact comparison.  Both sorts are stable, so ties keep the entry order."""
     steps = [_segment(e, x_a, x_b) for e in entries]
-    return _exact_sorted(steps, lambda s: (as_float(s.y), as_float(s.x_lo)), cmp)
+    order = sorted(range(len(steps)), key=rank.__getitem__)
+    by_x_lo = functools.cmp_to_key(lambda i, j: cmp_bound(steps[i].x_lo, steps[j].x_lo))
+    runs = itertools.groupby(order, rank.__getitem__)
+    return [steps[i] for _, run in runs for i in sorted(run, key=by_x_lo)]
 
 
 def _disconnections(dom: RectDomain) -> Iterator[str]:
@@ -336,13 +352,15 @@ def _solve_pair(e_l: LevelEntry, e_u: LevelEntry) -> list[tuple[ExtReal, ExtReal
     return [s for s in sols if not any(isinstance(x, Infinity) for x in s)]
 
 
-def _nearest(entries: list[LevelEntry], anchor: LevelEntry, sign: int) -> list[LevelEntry]:
-    """The six levels nearest the anchor level, at or above it for sign 1
-    and at or below it for sign -1, nearest first."""
-    cs = [e for e in entries if e is not anchor and sign * cmp_bound(e.value, anchor.value) >= 0]
-    return _exact_sorted(
-        cs, lambda e: sign * as_float(e.value), lambda u, v: sign * cmp_bound(u.value, v.value)
-    )[:6]
+def _nearest(
+    entries: list[LevelEntry], rank: list[int], anchor: int, sign: int
+) -> list[LevelEntry]:
+    """The six levels nearest entries[anchor]'s, at or above it for sign 1
+    and at or below it for sign -1, nearest first and ties in entry order:
+    rank[i], the rank of entries[i]'s level, decides alone."""
+    r = rank[anchor]
+    cs = [i for i in range(len(entries)) if i != anchor and sign * (rank[i] - r) >= 0]
+    return [entries[i] for i in sorted(cs, key=lambda i: sign * rank[i])[:6]]
 
 
 def _finiteness_error(tro: TruncatedOrbits) -> ConstructionError:
@@ -360,18 +378,20 @@ def solve_corners(params: Params, tro: TruncatedOrbits) -> RectDomain:
     Each candidate pair yields a two-equation Mobius system; a solution
     is accepted only if the corner bounds x_a >= 1, x_b <= -1 hold and
     the transported staircases bound one connected domain (the chain,
-    the joins at 0 and the corner joins).  Returns that domain.
+    the joins at 0 and the corner joins).  Returns that domain.  _ranks
+    ranks the levels once; the candidates and every staircase read ranks.
     """
     if not tro.finite:
         raise _finiteness_error(tro)
     lower_entries, upper_entries = _entries(tro)
-    sb_entry = next((e for e in lower_entries if e.chain == "Lb" and e.pos == 0), None)
-    sa_entry = next((e for e in upper_entries if e.chain == "Ua" and e.pos == 0), None)
-    if sb_entry is None or sa_entry is None:
+    if not tro.lb or not tro.ua:
         raise ConstructionError("missing anchor level (empty cycle side)")
-    uppers = _nearest(upper_entries, sa_entry, -1)
+    _, rank = _ranks([e.value for e in lower_entries + upper_entries])
+    lower_rank, upper_rank = rank[: len(lower_entries)], rank[len(lower_entries) :]
+    # the anchors Sb = Lb[0], after the La levels, and Sa = Ua[0], the first upper level
+    uppers = _nearest(upper_entries, upper_rank, 0, -1)
     failures: list[str] = []
-    for e_l in _nearest(lower_entries, sb_entry, 1):
+    for e_l in _nearest(lower_entries, lower_rank, len(tro.la), 1):
         for e_u in uppers:
             for x_a, x_b in _solve_pair(e_l, e_u):
                 if cmp_bound(x_a, 1) < 0 or cmp_bound(x_b, -1) > 0:
@@ -381,8 +401,8 @@ def solve_corners(params: Params, tro: TruncatedOrbits) -> RectDomain:
                     )
                     continue
                 try:
-                    lower = _sorted_steps(lower_entries, x_a, x_b)
-                    upper = _sorted_steps(upper_entries, x_a, x_b)
+                    lower = _sorted_steps(lower_entries, lower_rank, x_a, x_b)
+                    upper = _sorted_steps(upper_entries, upper_rank, x_a, x_b)
                 except ConstructionError as exc:
                     failures.append(f"({e_l.origin},{e_u.origin}): {exc}")
                     continue
@@ -481,25 +501,6 @@ class BijectivityReport:
             ],
             "ok": self.ok,
         }
-
-
-def _ranks(values: list[Bound]) -> tuple[list[Bound], list[int]]:
-    """The distinct values in ascending order, and the position of each
-    given value among them.  as_float rounds correctly, so values whose
-    floats differ are distinct and in the order of their floats: only a
-    run of equal floats is sorted, and split, by exact comparison."""
-    keys = [as_float(v) for v in values]
-    cuts: list[Bound] = []
-    ranks = [0] * len(values)
-    order = sorted(range(len(values)), key=keys.__getitem__)
-    exact = functools.cmp_to_key(lambda i, j: cmp_bound(values[i], values[j]))
-    for _, run in itertools.groupby(order, keys.__getitem__):
-        fresh = len(cuts)
-        for i in sorted(run, key=exact):
-            if len(cuts) == fresh or cmp_bound(cuts[-1], values[i]) != 0:
-                cuts.append(values[i])
-            ranks[i] = len(cuts) - 1
-    return cuts, ranks
 
 
 def locking_segments(dom: RectDomain) -> list[tuple[ExtReal, Bound, Bound]]:

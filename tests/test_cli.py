@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from abcf.attractor import build_attractor
 from abcf.cli import main
+from abcf.params import Params
+from abcf.svg import render_svg
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -240,7 +243,7 @@ def test_plot_byte_deterministic(tmp_path):
 def test_infinite_svg_window_exits_1(tmp_path, capsys):
     # the extent 2 * 1e308 overflows to inf, like the window inf itself
     out = str(tmp_path / "x.svg")
-    for argv in (["attractor", "--format", "svg", "--window", "inf"], ["plot", "--window", "1e308"]):
+    for argv in (["plot", "--window", "inf"], ["plot", "--window", "1e308"]):
         _assert_json_error(capsys, [*argv, "--a", "-4/5", "--b", "2/5", "--out", out], 1, "ValueError")
     assert not (tmp_path / "x.svg").exists()
 
@@ -399,11 +402,18 @@ def test_console_entry_point():
     assert res.returncode == 0
 
 
-def test_attractor_svg_output(tmp_path):
+def test_attractor_svg_output(tmp_path, capsys):
+    # plot without a cloud draws the domain alone; attractor draws nothing
+    # and takes no window
     out = tmp_path / "dom.svg"
-    assert main(["attractor", "--a", "-4/5", "--b", "2/5", "--format", "svg",
-                 "--out", str(out)]) == 0
-    assert out.read_text().startswith("<svg ")
+    assert main(["plot", "--a", "-4/5", "--b", "2/5", "--out", str(out)]) == 0
+    want = render_svg(build_attractor(Params.make("-4/5", "2/5")), None, (-4, 4, -4, 4))
+    assert out.read_text() == want
+    for flags in (["--format", "svg"], ["--window", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["attractor", "--a", "-4/5", "--b", "2/5", *flags, "--out", str(out)])
+        assert exc.value.code == 1
+    capsys.readouterr()
 
 
 def _shadowing_pair() -> tuple[str, str]:
