@@ -292,10 +292,11 @@ def test_sweep_agrees_with_the_grid(monkeypatch):
             assert not rep["ok"] and rep == _grid_report(dom).to_json(), (p.a, p.b)
 
 
-def _near_exceptional_b():
-    """The generation-3 rational next to the exceptional set (926 levels)."""
+def _near_exceptional_b(width=1e-10):
+    """The rational next to the exceptional set at this width: generation 3
+    (926 levels) at 1e-10, generation 4 (2422 levels) at 1e-20."""
     m, plan = parse_plan("m=3;1x2,1x3,1x2,1x2,1x3,1x2,1x2,1x3")
-    return exceptional_b(m, plan, 1e-10).b_mid
+    return exceptional_b(m, plan, width).b_mid
 
 
 def test_the_sweep_compares_only_ranks(monkeypatch):
@@ -405,8 +406,7 @@ def test_long_cycle_staircase_digests(case):
         k = int(case[2:])
         p = Params(Fraction(1, k) - 1, Fraction(1, k))
     else:
-        m, plan = parse_plan("m=3;1x2,1x3,1x2,1x2,1x3,1x2,1x2,1x3")
-        b = exceptional_b(m, plan, float(case)).b_mid
+        b = _near_exceptional_b(float(case))
         p = Params(b - 1, b)
     text = json.dumps(build_attractor(p).to_json())
     assert hashlib.sha256(text.encode()).hexdigest() == STAIRCASE_DIGESTS[case]
