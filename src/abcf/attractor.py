@@ -587,13 +587,6 @@ class OracleComparison:
     boundary_gap: float
     n_points: int
 
-    def to_json(self) -> dict:
-        return {
-            "inside_fraction": self.inside_fraction,
-            "boundary_gap": self.boundary_gap,
-            "n_points": self.n_points,
-        }
-
 
 #: float slack of the membership test against oracle and scan points
 ORACLE_TOL = 1e-9
@@ -658,14 +651,6 @@ class ScanReport:
     max_time: int
     n_points: int
     unresolved: int
-
-    def to_json(self) -> dict:
-        return {
-            "coverage": self.coverage,
-            "max_time": self.max_time,
-            "n_points": self.n_points,
-            "unresolved": self.unresolved,
-        }
 
 
 def reduction_scan(dom: RectDomain, grid: int, cap: int = 10_000) -> ScanReport:

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .attractor import (
@@ -220,10 +221,7 @@ def _cmd_cycle(args) -> int:
 def _cmd_attractor(args) -> int:
     params = _params(args)
     dom = build_attractor(params, args.cap)
-    # attractor takes no --window (plot draws); tests/golden/exact_p4.sha256 pins the echoed key
-    echo = _config_echo(args)
-    out = echo.pop("out")
-    payload = {"config": {**echo, "window": 4.0, "out": out}, **dom.to_json()}
+    payload = {"config": _config_echo(args), **dom.to_json()}
     if args.format == "text":
         lines = [f"x_a={payload['x_a']} x_b={payload['x_b']}"]
         for side in ("upper", "lower"):
@@ -280,11 +278,11 @@ def _cmd_verify(args) -> int:
     if args.suite in ("oracle", "all"):
         cloud = sample_attractor(params, args.burn_in, args.n_points, args.seed)
         cmp = compare_with_oracle(dom, cloud)
-        report["oracle"] = cmp.to_json()
+        report["oracle"] = asdict(cmp)
         ok &= cmp.inside_fraction >= 0.999
     if args.suite in ("reduction", "all"):
         scan = reduction_scan(dom, args.grid, cap=2_000)
-        report["reduction"] = scan.to_json()
+        report["reduction"] = asdict(scan)
     report["ok"] = bool(ok)
     _emit(report, args)
     return 0 if ok else 2

@@ -20,6 +20,7 @@ from .scalars import (
     Surd,
     as_float,
     cmp_exact,
+    format_scalar,
     is_exact,
     parse_scalar,
 )
@@ -126,8 +127,6 @@ class Params:
         return Params(-self.b, -self.a, self.eps)
 
     def to_json(self) -> dict:
-        from .scalars import format_scalar
-
         return {
             "a": format_scalar(self.a),
             "b": format_scalar(self.b),

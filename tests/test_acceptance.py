@@ -143,7 +143,7 @@ def test_criterion_06_reduction_conjecture():
         assert detect_cycle(p, "b").classification == "strong"
         dom = build_attractor(p)
         rep = reduction_scan(dom, grid=100, cap=10_000)
-        assert rep.coverage == 1.0, (pair, rep.to_json())
+        assert rep.coverage == 1.0, (pair, rep)
         assert time.time() - t1 < 60.0
     report(6, f"reduction scan coverage 1.0 for {len(BOTH_STRONG)} both-strong pairs", time.time() - t0)
 

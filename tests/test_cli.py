@@ -300,7 +300,7 @@ def test_every_command_runs_without_scipy(tmp_path):
 
 #: a fresh interpreter runs every exact command, each a JSON record of its
 #: status, stdout and written file; with BLOCK, importing numpy raises
-#: ImportError, and without it the measures names still resolve lazily
+#: ImportError
 _EXACT_COMMANDS = """
 import contextlib, io, json, os, sys
 if "BLOCK" in sys.argv:
@@ -331,11 +331,6 @@ for argv in runs:
     written = open(svg).read() if argv[0] == "plot" else None
     report["runs"].append([argv, status, out.getvalue(), written])
 report["numpy_after_runs"] = "numpy" in sys.modules
-if "BLOCK" not in sys.argv:
-    from abcf import entropy_closed, invariance_check
-    from abcf import measures
-    report["lazy_names"] = [entropy_closed is measures.entropy_closed,
-                            invariance_check is measures.invariance_check]
 print(json.dumps(report))
 """
 
@@ -352,10 +347,23 @@ def test_exact_commands_run_without_numpy(tmp_path):
     plain = _run_exact_commands(tmp_path)
     blocked = _run_exact_commands(tmp_path, "BLOCK")
     assert plain["numpy_after_import"] is False and plain["numpy_after_runs"] is False
-    assert plain["lazy_names"] == [True, True]
     # exit status, stdout and the plot's SVG, byte for byte
     assert blocked["runs"] == plain["runs"]
     assert [status for _, status, _, _ in plain["runs"]] == [0] * 5 + [2] + [0] * 7
+
+
+def test_the_package_is_only_its_version():
+    code = (
+        "import json, sys, abcf; "
+        "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'abcf'), "
+        "[n for n in dir(abcf) if not n.startswith('_')], abcf.__version__]))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    loaded, public, version = json.loads(out)
+    # no submodule loads with the package, and it names nothing but __version__
+    assert loaded == ["abcf"] and public == [] and version
 
 
 def _reject_constant(name):
