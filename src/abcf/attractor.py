@@ -223,9 +223,8 @@ def _arc(entry: LevelEntry, x_a: ExtReal, x_b: ExtReal) -> tuple[ExtReal, ExtRea
 
 
 def _segment(entry: LevelEntry, x_a: ExtReal, x_b: ExtReal) -> Step:
+    # not both INF: the corners are finite, and w(x) = w(INF) = INF needs c = d = 0
     s, e = _arc(entry, x_a, x_b)
-    if isinstance(s, Infinity) and isinstance(e, Infinity):
-        raise ConstructionError(f"level {entry.origin}: degenerate full-line segment")
     if isinstance(s, Infinity):
         return Step(NEG_INF, e, entry.value, entry.origin)
     if isinstance(e, Infinity):
@@ -342,13 +341,7 @@ def _solve_pair(e_l: LevelEntry, e_u: LevelEntry) -> list[tuple[ExtReal, ExtReal
         sols = [(x_a, wl.apply(x_a))]
     else:
         # coupled: x_a is a fixed point of wu @ wl, the attracting one first
-        m = wu @ wl
-        cls = m.classify()
-        if cls == "hyperbolic":
-            roots = m.fixed_points()
-        else:
-            roots = [m.parabolic_fixed_point()] if cls == "parabolic" else []
-        sols = [(x_a, wl.apply(x_a)) for x_a in roots]
+        sols = [(x_a, wl.apply(x_a)) for x_a in (wu @ wl).fixed_points()]
     return [s for s in sols if not any(isinstance(x, Infinity) for x in s)]
 
 
@@ -481,37 +474,21 @@ class BijectivityReport:
     escaped_cells: int
     overlap_measure: float
     uncovered_measure: float
-    locking_segments: list
+    locking_segments: list[dict]
     ok: bool
 
-    def to_json(self) -> dict:
-        return {
-            "overlap_cells": self.overlap_cells,
-            "uncovered_cells": self.uncovered_cells,
-            "escaped_cells": self.escaped_cells,
-            "overlap_measure": self.overlap_measure,
-            "uncovered_measure": self.uncovered_measure,
-            "locking_segments": [
-                {
-                    "level": as_float(lv),
-                    "x_lo": as_float(lo),
-                    "x_hi": as_float(hi),
-                }
-                for lv, lo, hi in self.locking_segments
-            ],
-            "ok": self.ok,
-        }
 
-
-def locking_segments(dom: RectDomain) -> list[tuple[ExtReal, Bound, Bound]]:
-    """Interior horizontal segments at the strong-cycle end levels."""
+def locking_segments(dom: RectDomain) -> list[dict]:
+    """Interior horizontal segments at the strong-cycle end levels, as
+    floats: {"level", "x_lo", "x_hi"}."""
     if dom.orbits is None or dom.x_a is None or dom.x_b is None:
         return []
     out = []
     for res, chain in ((dom.orbits.cycle_a, "La"), (dom.orbits.cycle_b, "Lb")):
         if res.classification == "strong":
-            s = _segment(LevelEntry(res.end, res.end_word_lower, chain, 0), dom.x_a, dom.x_b)
-            out.append((res.end, s.x_lo, s.x_hi))
+            s = _segment(LevelEntry(res.end, res.lower_words[-1], chain, 0), dom.x_a, dom.x_b)
+            lo, hi = as_float(s.x_lo), as_float(s.x_hi)
+            out.append({"level": as_float(res.end), "x_lo": lo, "x_hi": hi})
     return out
 
 

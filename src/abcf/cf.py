@@ -11,12 +11,13 @@ expansions nonzero and gives rationals a tail of 2's when b = 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .mobius import NonHyperbolicError, S, T, minus_cf_matrix
+from .mobius import IDENTITY, NonHyperbolicError, S, T, minus_cf_matrix
 from .natext import rho
 from .params import Params
 from .scalars import INF, ExtReal, Infinity, as_float, floor_exact, is_exact
@@ -155,21 +156,16 @@ class Convergent:
 
 
 def convergents(digits: Sequence[int], k: Optional[int] = None) -> list[Convergent]:
-    """Convergents r_0..r_k from p_{-2}=0, p_{-1}=1, q_{-2}=-1, q_{-1}=0."""
+    """Convergents r_0..r_k: (p_i, q_i) is the first column of the prefix
+    product minus_cf_matrix(digits[: i + 1]), which maps INF to r_i."""
     if k is None:
         k = len(digits) - 1
     if k >= len(digits):
         raise ValueError("k exceeds available digits")
-    p2, p1 = 0, 1
-    q2, q1 = -1, 0
-    out = []
-    for n in digits[: k + 1]:
-        p = n * p1 - p2
-        q = n * q1 - q2
-        out.append(Convergent(p, q))
-        p2, p1 = p1, p
-        q2, q1 = q1, q
-    return out
+    prods = itertools.accumulate(
+        digits[: k + 1], lambda m, n: m @ minus_cf_matrix((n,)), initial=IDENTITY
+    )
+    return [Convergent(m.a, m.c) for m in itertools.islice(prods, 1, None)]
 
 
 def evaluate_finite_minus_cf(digits: Sequence[int]) -> ExtReal:
@@ -180,23 +176,20 @@ def evaluate_finite_minus_cf(digits: Sequence[int]) -> ExtReal:
 def evaluate_minus_cf(preperiod: Sequence[int], period: Sequence[int] = ()) -> ExtReal:
     """Value of (m_0, ..., m_l, overline(period)).
 
-    The periodic tail is the attracting fixed point of the period matrix;
-    a parabolic period contributes its unique fixed point (this covers
-    the tail of 2's of rational numbers in the b = 0 chart).  Elliptic
-    periods are rejected.
+    The periodic tail is the period matrix's first fixed point: the
+    attracting one, or a parabolic period's only one (this covers the
+    tail of 2's of rational numbers in the b = 0 chart).  A period with
+    none (elliptic, or +-Id) raises NonHyperbolicError.
     """
     if not period:
         if not preperiod:
             raise ValueError("empty expression")
         return evaluate_finite_minus_cf(preperiod)
     m = minus_cf_matrix(period)
-    cls = m.classify()
-    if cls == "hyperbolic":
-        tail, _ = m.fixed_points()
-    elif cls == "parabolic":
-        tail = m.parabolic_fixed_point()
-    else:
-        raise NonHyperbolicError(cls)
+    fixed = m.fixed_points()
+    if not fixed:
+        raise NonHyperbolicError(m.classify())
+    tail = fixed[0]
     return minus_cf_matrix(preperiod).apply(tail) if preperiod else tail
 
 

@@ -273,7 +273,7 @@ def _cmd_verify(args) -> int:
         ok &= report["connectivity"]["ok"]
     if args.suite in ("bijectivity", "all"):
         bij = verify_bijectivity(dom)
-        report["bijectivity"] = bij.to_json()
+        report["bijectivity"] = asdict(bij)
         ok &= bij.ok
     if args.suite in ("oracle", "all"):
         cloud = sample_attractor(params, args.burn_in, args.n_points, args.seed)

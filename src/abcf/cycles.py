@@ -9,7 +9,8 @@ T^-1 at b).  The two orbits of one endpoint either meet (a cycle, strong
 when the composed word over the cycle acts as the identity), are both
 eventually periodic without meeting, or remain unresolved at the cap.
 They are walked in lockstep and stop where this is decided: at the first
-meeting, once both have closed on a repeat, or at the cap.
+meeting, once both have closed on a repeat, or at the cap.  Each side
+keeps one transport word per value it walked.
 """
 
 from __future__ import annotations
@@ -68,18 +69,16 @@ Classification = Literal["strong", "weak", "periodic_no_cycle", "undetermined"]
 
 @dataclass
 class CycleResult:
+    """One endpoint's cycle record: upper_words[i] carries the endpoint to
+    upper_orbit.values[i], and likewise lower (see detect_cycle)."""
+
     which: Literal["a", "b"]
     classification: Classification
     end: Optional[ExtReal] = None
     upper_steps: Optional[int] = None  # m in the (m, k) of the cycle
     lower_steps: Optional[int] = None
-    upper_side: list[ExtReal] = field(default_factory=list)
-    lower_side: list[ExtReal] = field(default_factory=list)
     upper_words: list[Mobius] = field(default_factory=list)
     lower_words: list[Mobius] = field(default_factory=list)
-    end_word_upper: Optional[Mobius] = None
-    end_word_lower: Optional[Mobius] = None
-    cycle_word: Optional[Mobius] = None
     approximate: bool = False
     upper_orbit: Optional[OrbitRecord] = None
     lower_orbit: Optional[OrbitRecord] = None
@@ -100,7 +99,7 @@ class CycleResult:
             "end_value": None if self.end is None else format_scalar(self.end),
             "end_float": None if self.end is None else as_float(self.end),
             "side_lengths": [self.upper_steps, self.lower_steps],
-            "word": self.word_names() if self.cycle_word else None,
+            "word": self.word_names() if self.end is not None else None,
             "approximate": self.approximate,
         }
 
@@ -113,7 +112,8 @@ def detect_cycle(params: Params, which: Literal["a", "b"], cap: int = 100_000) -
     meeting taken minimizes the longer side, then the upper side.
     Without a meeting the endpoint is periodic (both orbits closed) or
     undetermined.  The record starts undetermined and is filled in as far
-    as its case reaches."""
+    as its case reaches; each side's words end at the meeting value, or
+    cover its closed orbit."""
     if cap < 1:
         raise ValueError("cap >= 1")
     endpoint = params.a if which == "a" else params.b
@@ -127,26 +127,22 @@ def detect_cycle(params: Params, which: Literal["a", "b"], cap: int = 100_000) -
         if kl in up_index or ku in lo_index:
             j, i = (up_index[kl], n) if kl in up_index else (n, lo_index[ku])
             res.end, res.upper_steps, res.lower_steps = up.values[j], j, i
-            res.upper_side, res.lower_side = up.values[:j], lo.values[:i]
+            n_up, n_lo = j + 1, i + 1  # the words run on to the end value
             break
         if up.closed and lo.closed:
             res.classification = "periodic_no_cycle"
-            res.upper_side, res.lower_side = up.values, lo.values
+            n_up, n_lo = len(up.values), len(lo.values)
             break
         if n == cap:
             return res
         ku = None if up.closed else _step(up, up_index, params, from_below=False)
         kl = None if lo.closed else _step(lo, lo_index, params, from_below=True)
-    met = res.end is not None  # then the words run on to the end value
     up_seed, lo_seed = _SEEDS[which]
-    res.upper_words = _transport(up_seed, up.gens, len(res.upper_side) + met)
-    res.lower_words = _transport(lo_seed, lo.gens, len(res.lower_side) + met)
-    if met:
-        res.end_word_upper, res.end_word_lower = res.upper_words.pop(), res.lower_words.pop()
-        res.cycle_word = res.end_word_lower.inverse() @ res.end_word_upper
-        if params.exact:  # strong iff the two words agree as transformations
-            strong = res.end_word_upper.psl_eq(res.end_word_lower)
-            res.classification = "strong" if strong else "weak"
+    res.upper_words = _transport(up_seed, up.gens, n_up)
+    res.lower_words = _transport(lo_seed, lo.gens, n_lo)
+    if res.end is not None and params.exact:  # strong iff the end words agree in PSL(2,Z)
+        strong = res.upper_words[-1].psl_eq(res.lower_words[-1])
+        res.classification = "strong" if strong else "weak"
     return res
 
 
@@ -165,31 +161,33 @@ class TruncatedOrbits:
 
 
 def _truncate_side(
-    res: CycleResult, side: Literal["upper", "lower"]
+    res: CycleResult, orbit: Optional[OrbitRecord], words: list[Mobius]
 ) -> list[tuple[ExtReal, Mobius]]:
-    values = res.upper_side if side == "upper" else res.lower_side
-    words = res.upper_words if side == "upper" else res.lower_words
-    out = list(zip(values, words))
+    """One side's (value, word) levels: its closed orbit whole, or its cycle
+    side up to the end, which a weak cycle keeps, as the one object res.end."""
+    if not words:  # undetermined
+        return []
+    out = list(zip(orbit.values[: len(words) - (res.end is not None)], words))
     if res.classification == "weak":
-        end_word = res.end_word_upper if side == "upper" else res.end_word_lower
-        out.append((res.end, end_word))  # weak cycles end at 0; keep it
+        out.append((res.end, words[-1]))  # weak cycles end at 0; keep it
     return out
 
 
 def truncated_orbits(params: Params, cap: int = 100_000) -> TruncatedOrbits:
-    """Cycle sides (plus 0 for weak cycles), or eventually periodic orbits
-    truncated at the first repeat; finiteness fails when a cycle is
-    unresolved at the cap (its sides are then empty).  Only the first
-    unresolved endpoint is reported, so b is walked only if a resolves."""
+    """Cycle sides (plus the end 0 of a weak cycle, one object on both
+    sides), or eventually periodic orbits truncated at the first repeat;
+    finiteness fails when a cycle is unresolved at the cap (its sides are
+    then empty).  Only the first unresolved endpoint is reported, so b is
+    walked only if a resolves."""
     ca = detect_cycle(params, "a", cap)
     a_resolved = ca.classification != "undetermined"
     cb = detect_cycle(params, "b", cap) if a_resolved else CycleResult("b", "undetermined")
     finite = a_resolved and cb.classification != "undetermined"
     return TruncatedOrbits(
-        la=_truncate_side(ca, "lower"),
-        ua=_truncate_side(ca, "upper"),
-        lb=_truncate_side(cb, "lower"),
-        ub=_truncate_side(cb, "upper"),
+        la=_truncate_side(ca, ca.lower_orbit, ca.lower_words),
+        ua=_truncate_side(ca, ca.upper_orbit, ca.upper_words),
+        lb=_truncate_side(cb, cb.lower_orbit, cb.lower_words),
+        ub=_truncate_side(cb, cb.upper_orbit, cb.upper_words),
         finite=finite,
         cycle_a=ca,
         cycle_b=cb,

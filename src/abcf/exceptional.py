@@ -92,36 +92,30 @@ def triangle_region(m: int, seq: Sequence[int]) -> TriangleRegion:
 @dataclass
 class SubstitutionScheme:
     """State of the block substitution at one generation: the digit blocks
-    A and B, and those of the generation before."""
+    A and B, and base, the blocks (A, B) of its triangle's base.  That is
+    (A, B) itself at generation 0 and after a first-kind step; a
+    second-kind step keeps the blocks it started from."""
 
     m: int
     A: tuple[int, ...]
     B: tuple[int, ...]
+    base: tuple[tuple[int, ...], tuple[int, ...]]
     sigma: Optional[tuple[int, ...]] = None
     case_tag: Optional[Case] = None  # how the current A was built
     gen: int = 0
-    prev_A: Optional[tuple[int, ...]] = None
-    prev_B: Optional[tuple[int, ...]] = None
 
     @staticmethod
     def initial(m: int) -> "SubstitutionScheme":
         if m < 3:
             raise ValueError("m >= 3")
-        return SubstitutionScheme(m, (m,), (m + 1,))
-
-    def _base_blocks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The blocks (A, B) of the triangle's base: the current ones at
-        generation 0 and for first-kind generations, the previous ones
-        for second-kind generations."""
-        if self.gen == 0 or self.case_tag == "case1":
-            return self.A, self.B
-        return self.prev_A, self.prev_B
+        A, B = (m,), (m + 1,)
+        return SubstitutionScheme(m, A, B, (A, B))
 
     def triangle(self) -> TriangleRegion:
         """Exact bounds of the generation's triangle in closed form:
         vertex (0, overline(A)), base (0, A, overline(B)) with the base
         blocks."""
-        A, B = self._base_blocks()
+        A, B = self.base
         lo = -evaluate_minus_cf([0, *A], list(B))
         hi = vertex_value(self.A)
         return TriangleRegion(self.m, self.A, lo, hi, empty=cmp_exact(lo, hi) >= 0)
@@ -154,11 +148,10 @@ def substitution_step(
         m=m,
         A=newA,
         B=newB,
+        base=(newA, newB) if next_case == "case1" else (A, B),
         sigma=sigma,
         case_tag=next_case,
         gen=scheme.gen + 1,
-        prev_A=A,
-        prev_B=B,
     )
 
 
@@ -175,9 +168,9 @@ def run_plan(m: int, plan: Sequence[tuple[Case, int]], depth: Optional[int] = No
 
 
 def base_length(scheme: SubstitutionScheme) -> Scalar:
-    """Length of the lower base of the generation's triangle, from its
-    base blocks."""
-    A, B = scheme._base_blocks()
+    """Length of the lower base of the generation's triangle, from
+    scheme.base."""
+    A, B = scheme.base
     right = evaluate_minus_cf([0], list(B))
     left = evaluate_minus_cf([0, *A], list(B))
     return right - left

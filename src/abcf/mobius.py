@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .scalars import INF, ExtReal, Infinity, Scalar, Surd
+from .scalars import INF, ExtReal, Infinity, Surd
 
 
 class NonHyperbolicError(ValueError):
-    """Fixed points requested for a matrix that is not hyperbolic."""
+    """A periodic tail requested of a matrix with no fixed point on the line."""
 
     def __init__(self, classification: str):
         super().__init__(f"matrix is {classification}, not hyperbolic")
@@ -98,36 +98,26 @@ class Mobius:
             return INF
         return _coprime(num, den) if isinstance(num, int) else num / den
 
-    def fixed_points(self) -> tuple[ExtReal, ExtReal]:
-        """(attracting, repelling) fixed points of a hyperbolic matrix.
+    def fixed_points(self) -> tuple[ExtReal, ...]:
+        """Every fixed point on the line, the attracting one first: two for
+        a hyperbolic matrix, one for a parabolic one (INF when c = 0), none
+        for an elliptic one or +-Id.
 
         Roots of c x^2 + (d - a) x - b = 0; the attracting one satisfies
-        |c x + d| > 1 (the derivative 1/(c x + d)^2 is < 1 there).
+        |c x + d| > 1 (the derivative 1/(c x + d)^2 is < 1 there).  A
+        hyperbolic matrix has c != 0: c = 0 makes a d = 1, so |a + d| = 2.
         """
-        cls = self.classify()
-        if cls != "hyperbolic":
-            raise NonHyperbolicError(cls)
         a, b, c, d = self.a, self.b, self.c, self.d
-        if c == 0:  # pragma: no cover - hyperbolic implies c != 0 in SL(2,Z)
-            raise NonHyperbolicError("affine")
+        cls = self.classify()
+        if cls == "parabolic":
+            return (INF,) if c == 0 else (Fraction(a - d, 2 * c),)
+        if cls != "hyperbolic":
+            return ()
         disc = self.trace() ** 2 - 4
         r1 = Surd.make(a - d, 1, 2 * c, disc)
         r2 = Surd.make(a - d, -1, 2 * c, disc)
-
-        def attracting(x: Scalar) -> bool:
-            t = c * x + d
-            return t * t > 1
-
-        if attracting(r1):
-            return r1, r2
-        return r2, r1
-
-    def parabolic_fixed_point(self) -> ExtReal:
-        if self.classify() != "parabolic":
-            raise NonHyperbolicError(self.classify())
-        if self.c == 0:
-            return INF
-        return Fraction(self.a - self.d, 2 * self.c)
+        t = c * r1 + d
+        return (r1, r2) if t * t > 1 else (r2, r1)
 
 
 #: Generators: T(x) = x + 1, S(x) = -1/x, T'(x) = x - 1.

@@ -47,29 +47,17 @@ def _staircase_path(steps, frame: _Frame, lower: bool) -> str:
     """Closed polygon of one component clipped to the window."""
     if not steps:
         return ""
-    pts: list[tuple[float, float]] = []
-    if lower:
-        # region below the steps: walk left-to-right along the boundary
-        first = steps[0]
-        x_start = frame.clip_x(first.x_lo)
-        pts.append((x_start, frame.y0))
-        for s in steps:
-            y = frame.clip_y(as_float(s.y))
-            pts.append((frame.clip_x(s.x_lo), y))
-            pts.append((frame.clip_x(s.x_hi), y))
-        pts.append((frame.x1, frame.clip_y(as_float(steps[-1].y))))
-        pts.append((frame.x1, frame.y0))
-    else:
-        first = steps[0]
-        pts.append((frame.x0, frame.y1))
-        pts.append((frame.x0, frame.clip_y(as_float(first.y))))
-        for s in steps:
-            y = frame.clip_y(as_float(s.y))
-            pts.append((frame.clip_x(s.x_lo), y))
-            pts.append((frame.clip_x(s.x_hi), y))
-        pts.append((frame.clip_x(steps[-1].x_hi), frame.y1))
-    d = "M " + " L ".join(f"{_fmt(frame.px(x))} {_fmt(frame.py(y))}" for x, y in pts) + " Z"
-    return d
+    if lower:  # the region below the steps, from its bottom left corner
+        pts = [(frame.clip_x(steps[0].x_lo), frame.y0)]
+        tail = [(frame.x1, frame.clip_y(as_float(steps[-1].y))), (frame.x1, frame.y0)]
+    else:  # the region above the steps, from its top left corner
+        pts = [(frame.x0, frame.y1), (frame.x0, frame.clip_y(as_float(steps[0].y)))]
+        tail = [(frame.clip_x(steps[-1].x_hi), frame.y1)]
+    for s in steps:
+        y = frame.clip_y(as_float(s.y))
+        pts += [(frame.clip_x(s.x_lo), y), (frame.clip_x(s.x_hi), y)]
+    pts += tail
+    return "M " + " L ".join(f"{_fmt(frame.px(x))} {_fmt(frame.py(y))}" for x, y in pts) + " Z"
 
 
 def render_svg(

@@ -123,7 +123,7 @@ def test_criterion_05_bijectivity_tiling():
         t1 = time.time()
         dom = build_attractor(p)
         rep = verify_bijectivity(dom)
-        assert rep.ok, (p, rep.to_json())
+        assert rep.ok, (p, rep)
         assert rep.overlap_cells == 0 and rep.uncovered_cells == 0
         dt = time.time() - t1
         assert dt < 10.0

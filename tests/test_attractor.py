@@ -160,6 +160,60 @@ def test_connectivity_report_and_negative_control():
     assert verify_connectivity(dom) == rep
 
 
+def _changed(dom, component, i, **change):
+    """dom with one step of one component changed."""
+    steps = list(getattr(dom, component))
+    steps[i] = dataclasses.replace(steps[i], **change)
+    return dataclasses.replace(dom, **{component: steps})
+
+
+CORNER_FAULT = "levels straddling the endpoint do not join at the corner"
+
+
+# Z's lower steps are La[1], Lb[0], Lb[1], Lb[2], La[0] (x from -1/3 to +oo)
+# and its upper steps Ub[0], Ub[3], Ua[1], Ub[2], Ua[0], Ub[1], Ub[4]
+@pytest.mark.parametrize("corrupt, reason", [
+    (lambda d: dataclasses.replace(d, lower=[]), "lower: empty"),
+    (lambda d: _changed(d, "lower", -1, x_hi=Fraction(4)), "lower: top segment does not extend to +oo"),
+    (lambda d: _changed(d, "lower", 0, x_lo=NEG_INF), "lower: bottom segment unbounded left"),
+    (lambda d: _changed(d, "lower", 0, x_hi=POS_INF), "lower: interior segment unbounded"),
+    (lambda d: _changed(d, "upper", 0, x_lo=Fraction(-3)), "upper: bottom segment does not extend to -oo"),
+    (lambda d: _changed(d, "upper", -1, x_hi=POS_INF), "upper: top segment unbounded right"),
+    (lambda d: _changed(d, "upper", -1, x_lo=NEG_INF), "upper: interior segment unbounded"),
+    (lambda d: _changed(d, "lower", 2, x_hi=Fraction(1)), "lower: empty segment at level -3/2 (Lb[1])"),
+    (lambda d: _changed(d, "lower", 0, x_hi=Fraction(-1, 4)), "join STa|Sb at 0: expected join at x = 0"),
+    (lambda d: _changed(d, "upper", 4, x_hi=Fraction(-1, 4)), "join Sa|ST-1b at 0: expected join at x = 0"),
+    (lambda d: dataclasses.replace(d, x_a=d.x_a + 1), "lower/x_a: " + CORNER_FAULT),
+    (lambda d: dataclasses.replace(d, x_b=d.x_b - 1), "upper/x_b: " + CORNER_FAULT),
+])
+def test_every_disconnection_reason(corrupt, reason):
+    dom = build_attractor(Z)
+    assert verify_connectivity(dom) == {"ok": True, "failures": []}
+    rep = verify_connectivity(corrupt(dom))
+    assert not rep["ok"] and reason in rep["failures"], rep["failures"]
+
+
+def test_no_connected_candidate_lists_at_most_12_failures(monkeypatch):
+    # every assembled candidate is rejected: the error names the first 12 of
+    # the candidates' failures, the predicate's and the corner bounds' in turn
+    tro = build_attractor(Z).orbits
+    real, candidates = attractor._solve_pair, []
+
+    def counted(e_l, e_u):
+        sols = real(e_l, e_u)
+        candidates.extend(sols)
+        return sols
+
+    monkeypatch.setattr(attractor, "_solve_pair", counted)
+    monkeypatch.setattr(attractor, "_disconnections", lambda dom: iter(["rejected"]))
+    with pytest.raises(ConstructionError, match="^no corner candidate produced") as info:
+        solve_corners(Z, tro)
+    failures = str(info.value).split("\n  ")[1:]
+    assert len(failures) == 12 < len(candidates)
+    assert "(Lb[1],Ub[2]): rejected" in failures
+    assert all(f.endswith(": rejected") or ": corner bounds fail " in f for f in failures)
+
+
 def test_connectivity_named_joins_zagier():
     dom = build_attractor(Z)
     # levels STa | Sb join at 0 and Sa | ST^-1 b join at 0
@@ -176,7 +230,7 @@ def test_bijectivity_random_interior():
     for p in interior_rational_params(rng, 10):
         dom = build_attractor(p)
         rep = verify_bijectivity(dom)
-        assert rep.ok, (p, rep.to_json())
+        assert rep.ok, (p, rep)
         assert rep.overlap_measure == 0 and rep.uncovered_measure == 0
 
 
@@ -275,8 +329,8 @@ def test_sweep_agrees_with_the_grid(monkeypatch):
     doms = [d for p in pairs for dom in [build_attractor(p)] for d in (dom, *_corrupted(dom))]
     failing = 0
     for dom in doms:
-        rep = verify_bijectivity(dom).to_json()
-        assert rep == _grid_report(dom).to_json(), (dom.params.a, dom.params.b)
+        rep = dataclasses.asdict(verify_bijectivity(dom))
+        assert rep == dataclasses.asdict(_grid_report(dom)), (dom.params.a, dom.params.b)
         failing += not rep["ok"]
     assert (len(doms), failing) == (1994, 1686)
     # a repeated image overlaps its original, and lies past the domain's
@@ -288,8 +342,8 @@ def test_sweep_agrees_with_the_grid(monkeypatch):
         region, images = real(dom)
         for extra in (images[0], images[-1]):
             monkeypatch.setattr(attractor, "_branch_images", lambda _: (region, [*images, extra]))
-            rep = verify_bijectivity(dom).to_json()
-            assert not rep["ok"] and rep == _grid_report(dom).to_json(), (p.a, p.b)
+            rep = dataclasses.asdict(verify_bijectivity(dom))
+            assert not rep["ok"] and rep == dataclasses.asdict(_grid_report(dom)), (p.a, p.b)
 
 
 def _near_exceptional_b(width=1e-10):

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from abcf.attractor import build_attractor
+from abcf.cf import evaluate_minus_cf
 from abcf.cli import main
 from abcf.params import Params
+from abcf.scalars import parse_scalar
 from abcf.svg import render_svg
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -30,6 +32,18 @@ def test_expand_command(capsys):
     assert payload["digits"] == [0, -2, 2]
     assert payload["terminated"] is True
     assert payload["config"]["a"] == "-1/2"
+
+
+def test_expand_command_periodic(capsys):
+    # the golden mean repeats its state after one digit: its JSON is the
+    # (preperiod, period) pair, whose value is x again
+    x = "(1+1*sqrt(5))/2"
+    code, out = run_cli(["expand", "--a", "-1/2", "--b", "1/2", "--x", x], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["digits"] == {"preperiod": [2], "period": [3]}
+    assert payload["terminated"] is False and payload["approximate"] is False
+    assert evaluate_minus_cf([2], [3]) == parse_scalar(x)
 
 
 def test_cycle_command(capsys):

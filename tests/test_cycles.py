@@ -70,8 +70,9 @@ def test_lockstep_meeting_values_equal():
     for p in interior_rational_params(rng, 15):
         res = detect_cycle(p, "b")
         if res.classification in ("strong", "weak"):
-            assert res.end_word_upper.apply(p.b) == res.end
-            assert res.end_word_lower.apply(p.b) == res.end
+            # the last word of each side carries b to the meeting value
+            assert res.upper_words[-1].apply(p.b) == res.end
+            assert res.lower_words[-1].apply(p.b) == res.end
 
 
 def test_no_repeats_within_sides():
@@ -80,8 +81,9 @@ def test_no_repeats_within_sides():
         for which in ("a", "b"):
             res = detect_cycle(p, which)
             if res.classification in ("strong", "weak"):
-                assert len(set(res.upper_side)) == len(res.upper_side)
-                assert len(set(res.lower_side)) == len(res.lower_side)
+                up = res.upper_orbit.values[: res.upper_steps]
+                lo = res.lower_orbit.values[: res.lower_steps]
+                assert len(set(up)) == len(up) and len(set(lo)) == len(lo)
 
 
 def test_weak_iff_end_zero():
@@ -134,6 +136,16 @@ def test_truncated_orbits_weak_include_zero():
     tro = truncated_orbits(Params.make("-1/2", "1/2"))
     assert Fraction(0) in [v for v, _ in tro.la]
     assert Fraction(0) in [v for v, _ in tro.ua]
+
+
+def test_weak_end_is_one_object():
+    # both sides end on the cycle's own end value, so an exact comparison of
+    # the two levels (cmp_bound) returns at its `is` check
+    tro = truncated_orbits(Params.make("-1/2", "1/2"))
+    for cyc, lower, upper in ((tro.cycle_a, tro.la, tro.ua), (tro.cycle_b, tro.lb, tro.ub)):
+        assert cyc.classification == "weak"
+        assert lower[-1][0] is upper[-1][0] is cyc.end
+        assert lower[-1][1] is cyc.lower_words[-1] and upper[-1][1] is cyc.upper_words[-1]
 
 
 def test_shift_consequence_flags_agree():
@@ -198,11 +210,13 @@ def test_zagier_cycle_diagram_stations():
     p = Params.make("-4/5", "2/5")
     res = detect_cycle(p, "b")
     b = p.b
-    assert res.upper_side[0] == b - 1
-    assert res.upper_side[1] == -1 / (b - 1)
-    assert res.upper_side[-1] == 1 + b / (1 - 2 * b)
-    assert res.lower_side[0] == -1 / b
-    assert res.lower_side[-1] == -(1 - 2 * b) / b
+    up = res.upper_orbit.values[: res.upper_steps]
+    lo = res.lower_orbit.values[: res.lower_steps]
+    assert up[0] == b - 1
+    assert up[1] == -1 / (b - 1)
+    assert up[-1] == 1 + b / (1 - 2 * b)
+    assert lo[0] == -1 / b
+    assert lo[-1] == -(1 - 2 * b) / b
     assert res.end == b / (1 - 2 * b)
 
 
@@ -214,7 +228,7 @@ def test_cycle_word_multiplies_out_beyond_512_tokens():
     m = IDENTITY
     for t in tokens:  # application order
         m = {"T": T, "T'": T_INV, "S": S}[t] @ m
-    assert m.psl_eq(res.cycle_word)
+    assert m.psl_eq(res.lower_words[-1].inverse() @ res.upper_words[-1])
 
 
 
@@ -235,19 +249,28 @@ def test_cycle_records_of_each_shape():
         records.append(res)
         assert res.classification == cls
         endpoint = p.a if which == "a" else p.b
-        for side, words in ((res.upper_side, res.upper_words), (res.lower_side, res.lower_words)):
-            assert len(words) == len(side)
+        sides = (
+            (res.upper_orbit, res.upper_words, res.upper_steps),
+            (res.lower_orbit, res.lower_words, res.lower_steps),
+        )
+        for orbit, words, steps in sides:
+            # one word per walked value: on to the meeting value, or the closed orbit whole
+            if res.end is not None:
+                assert len(words) == steps + 1
+            elif cls == "periodic_no_cycle":
+                assert len(words) == len(orbit.values)
             if p.exact:
-                assert [w.apply(endpoint) for w in words] == side
+                assert [w.apply(endpoint) for w in words] == orbit.values[: len(words)]
         assert (res.upper_steps is None) == (res.lower_steps is None) == (res.end is None)
         assert res.upper_orbit is not None and res.lower_orbit is not None
-    # the exact unresolved endpoint keeps both orbits, run to the cap, and no sides
+    # the exact unresolved endpoint keeps both orbits, run to the cap, and no words
     res = records[3]
-    assert res.upper_side == res.lower_side == res.upper_words == res.lower_words == []
+    assert res.upper_words == res.lower_words == []
     assert len(res.upper_orbit.values) == len(res.lower_orbit.values) == 401
     # a float pair whose orbits meet keeps the whole record, strength unclaimed
     res = records[4]
-    assert (len(res.upper_side), len(res.lower_side)) == (res.upper_steps, res.lower_steps) == (5, 3)
+    assert (res.upper_steps, res.lower_steps) == (5, 3)
+    assert (len(res.upper_words), len(res.lower_words)) == (6, 4)
     assert abs(res.end - 2) < 1e-12 and res.to_json()["word"] is not None
 
 

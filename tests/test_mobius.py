@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from abcf.mobius import IDENTITY, NonHyperbolicError, S, T, T_INV, T_pow, minus_cf_matrix
+from abcf.mobius import IDENTITY, S, T, T_INV, T_pow, minus_cf_matrix
 from abcf.scalars import INF, Surd, as_float
 
 GENERATORS = {"T": T, "T'": T_INV, "S": S}
@@ -82,13 +82,14 @@ def test_fixed_points_t4s():
     assert att == Surd.make(2, 1, 1, 3)  # 2 + sqrt(3)
 
 
-def test_parabolic_rejected():
-    m = T_pow(2) @ S
-    with pytest.raises(NonHyperbolicError) as e:
-        m.fixed_points()
-    assert e.value.classification == "parabolic"
-    with pytest.raises(NonHyperbolicError):
-        (T @ S).fixed_points()  # elliptic, trace 1
+def test_fixed_points_per_class():
+    # hyperbolic: two (test_fixed_points_t3s); parabolic: one, INF when c = 0;
+    # elliptic and +-Id: none
+    assert (T_pow(2) @ S).fixed_points() == (1,)
+    assert T_pow(3).fixed_points() == (INF,)
+    assert (T @ S).fixed_points() == ()  # elliptic, trace 1
+    assert IDENTITY.fixed_points() == ()
+    assert (S @ S).fixed_points() == ()  # -Id
 
 
 def test_iteration_converges_to_attracting():
