@@ -166,19 +166,18 @@ class RectDomain:
     # -- membership --------------------------------------------------------
 
     @functools.cached_property
-    def _float_arrays(self):
+    def _float_arrays(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """The y, x_lo and x_hi floats of every step, as three arrays for the
+        upper steps and three for the lower ones."""
         import numpy as np
 
-        low_levels = np.array([as_float(s.y) for s in self.lower])
-        low_lefts = np.array([as_float(s.x_lo) for s in self.lower])
-        up_levels = np.array([as_float(s.y) for s in self.upper])
-        up_rights = np.array([as_float(s.x_hi) for s in self.upper])
-        return low_levels, low_lefts, up_levels, up_rights
+        return tuple(tuple(np.array([as_float(getattr(s, k)) for s in steps]) for k in ("y", "x_lo", "x_hi"))
+                     for steps in (self.upper, self.lower))
 
     def contains_array(self, xs: np.ndarray, ys: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         import numpy as np
 
-        low_levels, low_lefts, up_levels, up_rights = self._float_arrays
+        (up_levels, _, up_rights), (low_levels, low_lefts, _) = self._float_arrays
         inside = np.zeros(xs.shape, dtype=bool)
         if len(low_levels):
             idx = np.searchsorted(low_levels, ys - tol, side="left")
@@ -584,42 +583,75 @@ def compare_with_oracle(dom: RectDomain, cloud: Cloud) -> OracleComparison:
     frac = float(inside.mean())
 
     px, py = pts[np.argsort(pts[:, 1], kind="stable")].T.copy()  # the cloud sorted by y
-    gap = 0.0
-    for s in dom.upper + dom.lower:
-        y = as_float(s.y)
-        if abs(y) > ORACLE_CLIP:
-            continue
-        lo = max(-ORACLE_CLIP, as_float(s.x_lo))
-        hi = min(ORACLE_CLIP, as_float(s.x_hi))
-        if hi <= lo:
-            continue
-        xs = np.linspace(lo, hi, SAMPLES_PER_STEP)
-        # set distance: how close the cloud comes to this step anywhere
-        gap = max(gap, _nearest_distance(px, py, xs, y, gap))
-    return OracleComparison(frac, gap, len(pts))
+    y, lo, hi = map(np.concatenate, zip(*dom._float_arrays))
+    lo, hi = np.maximum(lo, -ORACLE_CLIP), np.minimum(hi, ORACLE_CLIP)
+    kept = (np.abs(y) <= ORACLE_CLIP) & (hi > lo)
+    # set distance: how close the cloud comes to each step anywhere
+    return OracleComparison(frac, _boundary_gap(px, py, y[kept], lo[kept], hi[kept]), len(pts))
 
 
-def _nearest_distance(
-    px: np.ndarray, py: np.ndarray, xs: np.ndarray, y: float, floor: float
-) -> float:
-    """Least distance from the samples (xs, y) to the points (px, py) sorted
-    by py, or a value <= floor when it is <= floor.  Points with |py - y| <= r
-    are measured to their nearest sample in x (a KD-tree's float), r growing
-    fourfold, until the least is <= floor or <= |py - y| of the nearest point
-    left out, which bounds every left-out distance, in floats too."""
+#: window points per batch of the boundary-gap search, so that its
+#: temporaries stay small however many points the windows hold
+GAP_BATCH = 1 << 11
+
+
+def _boundary_gap(px: np.ndarray, py: np.ndarray, y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
+    """The largest over the steps [lo, hi] x {y} of the least distance from
+    the step's SAMPLES_PER_STEP samples to the points (px, py) sorted by py
+    (a KD-tree's float), or 0.0 without steps.
+
+    Each pass takes every live step's window, the points with |py - y| <= r,
+    in flat batches of at most GAP_BATCH points.  A point's dx is the least
+    |px - sample| over the pair at searchsorted's index, clipped to [1, 32]:
+    estimated from the row's spacing, checked on its two samples, else
+    counted.  Why the gap is the one-step-at-a-time loop's, bit for bit:
+    - that loop gave each step its float minimum m_j of sqrt(dx*dx + dy*dy),
+      or a value <= its running gap, so its gap was max_j m_j; over any
+      superset of the needed points the same formula gives the same maximum;
+    - fl(px - sample) is monotone in the sample, so over candidates that
+      include the bracketing pair the least |px - sample| is the loop's;
+    - a window minimum m <= |py - y| of the nearest point left out is m_j,
+      since that bounds every left-out distance, in floats too;
+    - a step whose m is <= the gap so far cannot raise it and is dropped;
+      the rest search again at radius 4r (no radius changes a minimum).
+    One np.linspace makes every row with a one-row call's bits: 32 spacings,
+    a power of two, make its two rounding paths agree unless one is subnormal.
+    """
     import numpy as np
 
-    r = max(floor, xs[1] - xs[0], ORACLE_TOL)
-    while True:
-        j0, j1 = np.searchsorted(py, y - r), np.searchsorted(py, y + r, side="right")
-        wx, dy = px[j0:j1], py[j0:j1] - y
-        i = np.searchsorted(xs, wx).clip(1, len(xs) - 1)
-        dx = np.minimum(np.abs(wx - xs[i - 1]), np.abs(wx - xs[i]))
-        m = float(np.sqrt(dx * dx + dy * dy).min()) if j1 > j0 else math.inf
-        left_out = min(y - py[j0 - 1] if j0 else math.inf, py[j1] - y if j1 < len(py) else math.inf)
-        if m <= max(left_out, floor):
-            return m
-        r *= 4
+    n, last = SAMPLES_PER_STEP, SAMPLES_PER_STEP - 1
+    width = (hi - lo) / last
+    samples = np.linspace(lo, hi, n, axis=1).ravel()
+    r, live, gap = np.maximum(width, ORACLE_TOL), np.arange(len(y)), 0.0
+    while len(live):
+        yl, ll, wl, row = y[live], lo[live], width[live], live * n
+        j0, j1 = np.searchsorted(py, yl - r), np.searchsorted(py, yl + r, side="right")
+        ends, m = np.cumsum(j1 - j0), np.full(len(live), math.inf)
+        for f0 in range(0, int(ends[-1]), GAP_BATCH):
+            f = np.arange(f0, min(f0 + GAP_BATCH, ends[-1]))
+            s = np.searchsorted(ends, f, side="right")  # the live step of each point
+            k = j1[s] - (ends[s] - f)
+            wx, dy = px[k], py[k] - yl[s]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                c = np.fmin(np.fmax(np.ceil((wx - ll[s]) / wl[s]), 1), last).astype(np.intp)
+            i = row[s] + c
+            left, right = samples[i - 1], samples[i]
+            miss = ((c > 1) & (left >= wx)) | ((c < last) & (right < wx))
+            if miss.any():
+                below = samples.reshape(-1, n)[live[s[miss]]] < wx[miss, None]
+                i = row[s[miss]] + below.sum(1).clip(1, last)
+                left[miss], right[miss] = samples[i - 1], samples[i]
+            dx = np.minimum(np.abs(wx - left), np.abs(wx - right))
+            d = np.sqrt(dx * dx + dy * dy)
+            first = np.flatnonzero(np.diff(s, prepend=-1))
+            m[s[first]] = np.minimum(m[s[first]], np.minimum.reduceat(d, first))
+        out_lo = np.where(j0 > 0, yl - py[j0 - 1], math.inf)  # |py - y| of the nearest left out
+        out_hi = np.where(j1 < len(py), py[np.minimum(j1, len(py) - 1)] - yl, math.inf)
+        done = m <= np.minimum(out_lo, out_hi)
+        gap = max(gap, float(m[done].max(initial=0.0)))
+        more = ~done & (m > gap)
+        live, r = live[more], 4 * r[more]
+    return gap
 
 
 @dataclass
@@ -656,7 +688,8 @@ def reduction_scan(dom: RectDomain, grid: int, cap: int = 10_000) -> ScanReport:
             xs, ys = F_step_array(xs, ys, params)
         done = dom.contains_array(xs, ys, ORACLE_TOL)
         hit_time[idx[done]] = t
-        xs, ys, idx = xs[~done], ys[~done], idx[~done]
+        left = ~done
+        xs, ys, idx = xs[left], ys[left], idx[left]
         if not len(idx):
             break
     resolved = hit_time >= 0

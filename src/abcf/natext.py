@@ -7,7 +7,7 @@ Every off-diagonal point enters the trapping region in finite time; long
 Monte Carlo runs of the map approximate the attractor and serve as an
 independent cross-check for the constructed domain.  That float layer
 (F_step_array, sample_attractor) imports numpy on first use, so the
-exact layer runs without it.
+exact layer runs without it; F_step_array steps its arrays in place.
 """
 
 from __future__ import annotations
@@ -156,22 +156,24 @@ def trapping_region(params: Params) -> Region:
 
 
 def F_step_array(xs: np.ndarray, ys: np.ndarray, params: Params) -> tuple[np.ndarray, np.ndarray]:
-    """One reduction-map step on parallel float coordinate arrays, by the
-    rule of rho: T where y < a, S on a <= y < b, and T^-1 otherwise (y >= b,
-    y = +inf, y NaN).  Both coordinates get the shift k = +1, 0, -1 of the
-    branch (int8 views of the masks); the S points, gathered by index, then
-    get -1/x and -1/y.  No masked ufunc runs."""
+    """One reduction-map step on parallel float coordinate arrays, in place:
+    xs and ys are overwritten with the image and returned.  The branch is
+    rho's: T where y < a, S on a <= y < b, and T^-1 otherwise (y >= b,
+    y = +inf, y NaN).  The S points, gathered by index, get -1/x and -1/y
+    from the inputs; then every point gets the shift k = +1, 0, -1 of its
+    branch (int8 views of the masks), and the S points their images."""
     import numpy as np
 
     a, b = as_float(params.a), as_float(params.b)
     k = (ys < a).view(np.int8) - (~(ys < b)).view(np.int8)
-    shift = k.astype(np.float64)
-    nx, ny = xs + shift, ys + shift
     mid = np.flatnonzero(k == 0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        nx[mid] = -1.0 / xs[mid]
-        ny[mid] = -1.0 / ys[mid]
-    return nx, ny
+        sx, sy = -1.0 / xs[mid], -1.0 / ys[mid]
+    shift = k.astype(np.float64)
+    xs += shift
+    ys += shift
+    xs[mid], ys[mid] = sx, sy
+    return xs, ys
 
 
 @dataclass

@@ -277,7 +277,7 @@ def _edge_values(p: Params) -> list[float]:
 
 
 def _same_step(xs: np.ndarray, ys: np.ndarray, p: Params) -> bool:
-    got = F_step_array(xs, ys, p)
+    got = F_step_array(xs.copy(), ys.copy(), p)  # the step overwrites its inputs
     with np.errstate(over="ignore"):  # -1/x of a subnormal x is an infinity
         want = _F_step_array_reference(xs, ys, p)
     return all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
@@ -290,7 +290,7 @@ def test_kernels_take_a_subnormal_x_without_warnings():
     xs, ys = np.array([tiny, -tiny, 0.0]), np.array([0.1, 0.1, 0.1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        nx, _ = F_step_array(xs, ys, Z)
+        nx, _ = F_step_array(xs.copy(), ys.copy(), Z)
         hx, _ = F_hat_array(xs, ys, Z)
     assert nx.tolist() == [-math.inf, math.inf, -math.inf]
     assert hx[0] == -math.inf and hx[1] == math.inf
@@ -312,6 +312,18 @@ def test_F_step_array_matches_the_masked_copy_kernel():
                 hit = rng.random(n) < 0.3
                 arr[hit] = rng.choice(edges, int(hit.sum()))
             assert _same_step(xs, ys, p), (p.a, p.b, n)
+
+
+def test_F_step_array_steps_in_place():
+    # the image overwrites the arrays passed, with the reference's bits
+    for p in KERNEL_PAIRS:
+        edges = np.array(_edge_values(p))
+        xs, ys = (g.ravel() for g in np.meshgrid(edges, edges))
+        with np.errstate(over="ignore"):
+            want = _F_step_array_reference(xs, ys, p)
+        got = F_step_array(xs, ys, p)
+        assert got[0] is xs and got[1] is ys
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), (p.a, p.b)
 
 
 @pytest.mark.parametrize("seed", [3, 20])
