@@ -176,9 +176,9 @@ def _error(exc: Exception, status: int) -> int:
     return status
 
 
-#: flags whose values may start with a dash (e.g. "-4/5"), which argparse
-#: would otherwise read as options
-_VALUE_FLAGS = {"--a", "--b", "--x"}
+#: flags whose values may start with a dash (e.g. "-4/5" or "-1e-3"), which
+#: argparse would otherwise read as options
+_VALUE_FLAGS = {"--a", "--b", "--x", "--eps", "--target-width", "--window"}
 
 
 def _join_negative_values(argv):

@@ -18,8 +18,8 @@ infinite.
 
 from __future__ import annotations
 
-import functools
 import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,14 +30,24 @@ from .params import Params
 from .scalars import POS_INF, as_float
 
 
-@functools.lru_cache(maxsize=64)
-def _gauss_domain(params: Params) -> tuple[Region, tuple[tuple[float, float, float], ...], float]:
-    """The strip's boxes in Gauss-map coordinates, those of the lower
-    component (y <= 0) first, each part by ascending x; the x-marginal's
-    terms (y0, y1, -X) in the same order; and K, the invariant measure of
-    the strip's boxes in the original coordinates: the terms' mass, up to
-    rounding.  A ValueError refuses a pair whose float corners are not
-    finite or meet the pole 1 + xy = 0 of the density."""
+@dataclass(frozen=True)
+class GaussDomain:
+    """A pair's Gauss-map domain in floats: region, the strip's boxes in
+    Gauss-map coordinates, the lower component's (y <= 0) first, each part
+    by ascending x; terms, the x-marginal's (lo, hi, c) in the same order,
+    each the weight 1/|x + c| on [lo, hi], where x + c has the sign of c;
+    and K, the strip boxes' invariant measure, which normalizes the densities."""
+
+    params: Params
+    region: Region
+    terms: tuple[tuple[float, float, float], ...]
+    K: float
+
+
+def gauss_domain(params: Params) -> GaussDomain:
+    """The Gauss-map domain of the attractor's strip.  A ValueError refuses
+    a pair whose float corners are not finite or meet the pole 1 + xy = 0
+    of the density."""
     if params.is_a0 or params.is_b0:
         raise ValueError("the invariant measure is infinite when a = 0 or b = 0")
     strip = build_attractor(params).region().clip(params.a, params.b).boxes
@@ -53,24 +63,8 @@ def _gauss_domain(params: Params) -> tuple[Region, tuple[tuple[float, float, flo
             )
         boxes.append(Box(y0, y1, h, 0.0) if below else Box(y0, y1, 0.0, h))
         terms.append((y0, y1, -x))
-    return Region(tuple(boxes)), tuple(terms), math.fsum(map(invariant_box_measure, strip))
-
-
-def norm_const(params: Params) -> float:
-    """K, the invariant measure of the attractor's strip: the normalization
-    of the invariant densities."""
-    return _gauss_domain(params)[2]
-
-
-def hat_domain(params: Params) -> Region:
-    """The domain of the Gauss-map natural extension, with float corners."""
-    return _gauss_domain(params)[0]
-
-
-def _mu_terms(params: Params) -> tuple[tuple[float, float, float], ...]:
-    """(lo, hi, c) of the x-marginal's terms: the weight 1/|x + c| on
-    [lo, hi], where x + c has the sign of c."""
-    return _gauss_domain(params)[1]
+    K = math.fsum(map(invariant_box_measure, strip))
+    return GaussDomain(params, Region(tuple(boxes)), tuple(terms), K)
 
 
 def _box_nu_integral(box: Box) -> float:
@@ -81,34 +75,32 @@ def _box_nu_integral(box: Box) -> float:
     )
 
 
-def nu_mass(params: Params) -> float:
-    dom = hat_domain(params)
-    return sum(_box_nu_integral(b) for b in dom.boxes) / norm_const(params)
+def nu_mass(g: GaussDomain) -> float:
+    return _nu_y_cdf(math.inf, g)
 
 
-def mu_mass(params: Params) -> float:
+def mu_mass(g: GaussDomain) -> float:
     """The x-marginal's mass over K, the strip's box measure, which does
     not read the marginal's terms: 1 up to rounding."""
-    _, terms, K = _gauss_domain(params)
-    return _mu_cdf(math.inf, terms, K)
+    return _mu_cdf(math.inf, g)
 
 
-def _mu_cdf(x: float, terms: tuple, C: float) -> float:
+def _mu_cdf(x: float, g: GaussDomain) -> float:
     total = 0.0
-    for lo, hi, c in terms:
+    for lo, hi, c in g.terms:
         u = min(max(x, lo), hi)
         if u > lo:  # the weight's antiderivative is sign(c) log|x + c|
             total += math.copysign(1.0, c) * (math.log(abs(u + c)) - math.log(abs(lo + c)))
-    return total / C
+    return total / g.K
 
 
-def _nu_y_cdf(y: float, boxes: tuple[Box, ...], C: float) -> float:
+def _nu_y_cdf(y: float, g: GaussDomain) -> float:
     total = 0.0
-    for b in boxes:
+    for b in g.region.boxes:
         yy = min(max(y, b.y_lo), b.y_hi)
         if yy > b.y_lo:
             total += _box_nu_integral(Box(b.x_lo, b.x_hi, b.y_lo, yy))
-    return total / C
+    return total / g.K
 
 
 # -- sampling and the invariance statistic --------------------------------
@@ -165,7 +157,7 @@ def _box_uniforms(rng: np.random.Generator, boxes: tuple[Box, ...], cdf: np.ndar
     return (chunk(picks[i : i + CHUNK]) for i in range(0, m, CHUNK))
 
 
-def sample_nu(params: Params, n: int, seed: int) -> np.ndarray:
+def sample_nu(g: GaussDomain, n: int, seed: int) -> np.ndarray:
     """Rejection-sample the invariant 2D density box by box; a seed fixes
     the output bits.
 
@@ -182,7 +174,7 @@ def sample_nu(params: Params, n: int, seed: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("n_points >= 0")
-    dom = hat_domain(params)
+    dom = g.region
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     areas = np.array([(b.x_hi - b.x_lo) * (b.y_hi - b.y_lo) for b in dom.boxes])
     cdf = (areas / areas.sum()).cumsum()
@@ -241,17 +233,16 @@ def F_hat_array(xs: np.ndarray, ys: np.ndarray, params: Params) -> tuple[np.ndar
     return xs, ys
 
 
-def invariance_check(params: Params, n_points: int, seed: int) -> float:
+def invariance_check(g: GaussDomain, n_points: int, seed: int) -> float:
     """KS-style sup discrepancy between the one-step pushforward of an
     invariant sample and the exact marginal distribution functions.  The
     sample's columns are pushed forward and sorted in place, so the peak
     memory is the (n, 2) float sample and sample_nu's 2n pick bytes."""
     if n_points == 0:
         return float("nan")
-    pts = sample_nu(params, n_points, seed)
-    xs, ys = F_hat_array(pts[:, 0], pts[:, 1], params)
-    dom, terms, C = _gauss_domain(params)
-    return max(_ks(xs, lambda v: _mu_cdf(v, terms, C)), _ks(ys, lambda v: _nu_y_cdf(v, dom.boxes, C)))
+    pts = sample_nu(g, n_points, seed)
+    xs, ys = F_hat_array(pts[:, 0], pts[:, 1], g.params)
+    return max(_ks(xs, lambda v: _mu_cdf(v, g)), _ks(ys, lambda v: _nu_y_cdf(v, g)))
 
 
 #: points of the grid on which the KS statistic compares distribution functions
@@ -294,18 +285,22 @@ def _log_moment(x: float, c: float) -> float:
     return math.copysign(1.0, c) * ((math.log(abs(x)) if x else 0.0) * math.log1p(-t) + _li2(t))
 
 
-def rokhlin_integral(params: Params) -> float:
-    """I(a,b) = int log|x| (C mu)(dx), term by term (equals -pi^2/6)."""
-    terms = _mu_terms(params)
-    return sum(_log_moment(hi, c) - _log_moment(lo, c) for lo, hi, c in terms if hi > lo)
+def rokhlin_integral(g: GaussDomain) -> float:
+    """I(a,b) = int log|x| (K mu)(dx), term by term (equals -pi^2/6), left
+    to right: builtin sum() compensates float sums since Python 3.12."""
+    total = 0.0
+    for lo, hi, c in g.terms:
+        if hi > lo:
+            total += _log_moment(hi, c) - _log_moment(lo, c)
+    return total
 
 
-def entropy_rokhlin(params: Params) -> float:
-    return -2.0 * rokhlin_integral(params) / norm_const(params)
+def entropy_rokhlin(g: GaussDomain) -> float:
+    return -2.0 * rokhlin_integral(g) / g.K
 
 
-def entropy_closed(params: Params) -> float:
-    return math.pi**2 / (3.0 * norm_const(params))
+def entropy_closed(g: GaussDomain) -> float:
+    return math.pi**2 / (3.0 * g.K)
 
 
 def birkhoff_average(
@@ -359,13 +354,14 @@ def birkhoff_average(
         return float(np.float64(0) / 0)  # np.mean's nan for no steps, bit for bit, unwarned
 
 
-def measures_report(params: Params, n_points: int = 1_000_000, seed: int = 7) -> dict:
+def measures_report(params: Params, n_points: int, seed: int) -> dict:
+    g = gauss_domain(params)
     return {
-        "C": norm_const(params),
-        "nu_mass": nu_mass(params),
-        "mu_mass": mu_mass(params),
-        "h_closed": entropy_closed(params),
-        "h_rokhlin": entropy_rokhlin(params),
-        "I_ab": rokhlin_integral(params),
-        "ks_stat": invariance_check(params, n_points, seed),
+        "C": g.K,
+        "nu_mass": nu_mass(g),
+        "mu_mass": mu_mass(g),
+        "h_closed": entropy_closed(g),
+        "h_rokhlin": entropy_rokhlin(g),
+        "I_ab": rokhlin_integral(g),
+        "ks_stat": invariance_check(g, n_points, seed),
     }

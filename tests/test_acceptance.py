@@ -21,6 +21,7 @@ from abcf.cycles import detect_cycle, truncated_orbits
 from abcf.exceptional import base_length, run_plan, triangle_region
 from abcf.measures import (
     entropy_rokhlin,
+    gauss_domain,
     invariance_check,
     mu_mass,
     nu_mass,
@@ -239,13 +240,14 @@ def test_criterion_10_measures():
     t0 = time.time()
     for pair in [("-7/10", "4/5"), ("-1", "1")]:
         p = Params.make(*pair)
-        assert abs(nu_mass(p) - 1) <= 1e-8
-        assert abs(mu_mass(p) - 1) <= 1e-8
+        g = gauss_domain(p)
+        assert abs(nu_mass(g) - 1) <= 1e-8
+        assert abs(mu_mass(g) - 1) <= 1e-8
         a, b = as_float(p.a), as_float(p.b)
         closed = math.pi**2 / (3 * math.log((1 - a) * (1 + b)))
-        assert abs(entropy_rokhlin(p) - closed) <= 1e-5
-        assert abs(rokhlin_integral(p) + math.pi**2 / 6) <= 1e-6
-        ks = invariance_check(p, 1_000_000, seed=7)
+        assert abs(entropy_rokhlin(g) - closed) <= 1e-5
+        assert abs(rokhlin_integral(g) + math.pi**2 / 6) <= 1e-6
+        ks = invariance_check(g, 1_000_000, seed=7)
         assert ks <= 3e-3, (pair, ks)
     elapsed = time.time() - t0
     assert elapsed < 120.0

@@ -164,7 +164,8 @@ def test_measures_command(capsys):
 
 
 def test_bad_eps_is_a_usage_error(capsys):
-    for eps in ("-1", "nan", "inf"):
+    # "-1e-3" is no negative number to argparse, which would take it for a flag
+    for eps in ("-1", "-1e-3", "nan", "inf"):
         code = main(["measures", "--a", "-7/10", "--b", "4/5", "--n-points", "1000",
                      "--eps", eps])
         assert code == 1
@@ -193,6 +194,16 @@ def test_measures_rejects_infinite_and_float_pairs(ab, status, error, capsys):
     assert payload["error"] == error
     if status == 1:
         assert payload["message"] == "the invariant measure is infinite when a = 0 or b = 0"
+
+
+def test_measures_refuses_the_float_pair_before_and_after_the_exact_pair(capsys):
+    # Params(-0.5, 0.5) == Params(-1/2, 1/2) with equal hashes, so a domain
+    # cached by pair answered the float pair once the exact one was measured
+    float_pair = ["measures", "--a", "-0.5", "--b", "0.5", "--n-points", "1000"]
+    _assert_json_error(capsys, float_pair, 2, "ConstructionError")
+    code, out = run_cli(["measures", "--a", "-1/2", "--b", "1/2", "--n-points", "1000"], capsys)
+    assert code == 0 and json.loads(out)["config"]["a"] == "-1/2"
+    _assert_json_error(capsys, float_pair, 2, "ConstructionError")
 
 
 def test_levels_beyond_float_range_print_null(capsys):
@@ -260,6 +271,21 @@ def test_infinite_svg_window_exits_1(tmp_path, capsys):
     for argv in (["plot", "--window", "inf"], ["plot", "--window", "1e308"]):
         _assert_json_error(capsys, [*argv, "--a", "-4/5", "--b", "2/5", "--out", out], 1, "ValueError")
     assert not (tmp_path / "x.svg").exists()
+
+
+def test_negative_float_window_reaches_the_extent_check(tmp_path, capsys):
+    out = str(tmp_path / "x.svg")
+    argv = ["plot", "--a", "-4/5", "--b", "2/5", "--window", "-1e-3", "--out", out]
+    code, printed = run_cli(argv, capsys)
+    assert code == 1
+    assert json.loads(printed) == {"error": "ValueError", "message": "window must have positive, finite extent"}
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_negative_float_target_width_reaches_the_plan_check(capsys):
+    code, out = run_cli(["exceptional", "--plan", "m=3;1x2", "--target-width", "-1e-3"], capsys)
+    assert code == 1
+    assert json.loads(out) == {"error": "ValueError", "message": "target width -0.001 not reached within the plan"}
 
 
 def test_unwritable_out_exits_1(tmp_path, capsys):
