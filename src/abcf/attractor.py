@@ -27,10 +27,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Literal, Optional
+from typing import Iterator, Optional
 
-from .cycles import TruncatedOrbits, truncated_orbits
-from .mobius import Mobius, S, T, T_INV
+from .cycles import Level, TruncatedOrbits, truncated_orbits
+from .mobius import S, T, T_INV
 from .natext import (
     DIAGONAL_MARGIN,
     START_WINDOW,
@@ -62,7 +62,9 @@ class ConstructionError(RuntimeError):
     condition fails), ``failed_endpoint`` names the first endpoint, "a"
     or "b", whose cycle is undetermined; otherwise it is None."""
 
-    failed_endpoint: Optional[str] = None
+    def __init__(self, message: str, failed_endpoint: Optional[str] = None):
+        super().__init__(message)
+        self.failed_endpoint = failed_endpoint
 
 
 def _ranks(values: list[Bound]) -> tuple[list[Bound], list[int]]:
@@ -83,25 +85,6 @@ def _ranks(values: list[Bound]) -> tuple[list[Bound], list[int]]:
                 cuts.append(values[i])
             ranks[i] = len(cuts) - 1
     return cuts, ranks
-
-
-Chain = Literal["La", "Lb", "Ua", "Ub"]
-
-
-@dataclass(frozen=True)
-class LevelEntry:
-    value: ExtReal
-    word: Mobius
-    chain: Chain
-    pos: int
-
-    @property
-    def a_anchored(self) -> bool:
-        return self.chain in ("La", "Ua")
-
-    @property
-    def origin(self) -> str:
-        return f"{self.chain}[{self.pos}]"
 
 
 @dataclass(frozen=True)
@@ -209,50 +192,31 @@ class RectDomain:
 # -- transported segments -------------------------------------------------
 
 
-def _arc(entry: LevelEntry, x_a: ExtReal, x_b: ExtReal) -> tuple[ExtReal, ExtReal]:
-    """(start, end) of the transported boundary arc at this level.
-
-    a-chains transport [x_a, oo] (start moving, end fixed); b-chains
-    transport [-oo, x_b] (start fixed at the infinity image, end moving).
-    """
-    w = entry.word
-    if entry.a_anchored:
-        return w.apply(x_a), w.apply(INF)
-    return w.apply(INF), w.apply(x_b)
-
-
-def _segment(entry: LevelEntry, x_a: ExtReal, x_b: ExtReal) -> Step:
+def _segment(level: Level, x_a: ExtReal, x_b: ExtReal) -> Step:
+    """The level's horizontal segment: a-chains transport the boundary ray
+    [x_a, oo] (start moving, end fixed), b-chains [-oo, x_b] (start fixed
+    at the infinity image, end moving)."""
+    w = level.word
+    s, e = (w.apply(x_a), w.apply(INF)) if level.a_anchored else (w.apply(INF), w.apply(x_b))
     # not both INF: the corners are finite, and w(x) = w(INF) = INF needs c = d = 0
-    s, e = _arc(entry, x_a, x_b)
     if isinstance(s, Infinity):
-        return Step(NEG_INF, e, entry.value, entry.origin)
+        return Step(NEG_INF, e, level.value, level.origin)
     if isinstance(e, Infinity):
-        return Step(s, POS_INF, entry.value, entry.origin)
+        return Step(s, POS_INF, level.value, level.origin)
     if cmp_bound(s, e) > 0:
         raise ConstructionError(
-            f"level {entry.origin}: transported arc wraps infinity ({s} > {e})"
+            f"level {level.origin}: transported arc wraps infinity ({s} > {e})"
         )
-    return Step(s, e, entry.value, entry.origin)
-
-
-def _entries(tro: TruncatedOrbits) -> tuple[list[LevelEntry], list[LevelEntry]]:
-    lower = [LevelEntry(v, w, "La", i) for i, (v, w) in enumerate(tro.la)]
-    lower += [LevelEntry(v, w, "Lb", i) for i, (v, w) in enumerate(tro.lb)]
-    upper = [LevelEntry(v, w, "Ua", i) for i, (v, w) in enumerate(tro.ua)]
-    upper += [LevelEntry(v, w, "Ub", i) for i, (v, w) in enumerate(tro.ub)]
-    for e in lower + upper:
-        if isinstance(e.value, Infinity):
-            raise ConstructionError(f"orbit level at infinity: {e.origin}")
-    return lower, upper
+    return Step(s, e, level.value, level.origin)
 
 
 def _sorted_steps(
-    entries: list[LevelEntry], rank: list[int], x_a: ExtReal, x_b: ExtReal
+    levels: list[Level], rank: list[int], x_a: ExtReal, x_b: ExtReal
 ) -> list[Step]:
-    """The entries' segments for the corners (x_a, x_b), by the rank of their
-    level (rank[i] is entries[i]'s) and, on one level, by x_lo, the only
-    exact comparison.  Both sorts are stable, so ties keep the entry order."""
-    steps = [_segment(e, x_a, x_b) for e in entries]
+    """The levels' segments for the corners (x_a, x_b), by the rank of their
+    value (rank[i] is levels[i]'s) and, on one value, by x_lo, the only
+    exact comparison.  Both sorts are stable, so ties keep the level order."""
+    steps = [_segment(e, x_a, x_b) for e in levels]
     order = sorted(range(len(steps)), key=rank.__getitem__)
     by_x_lo = functools.cmp_to_key(lambda i, j: cmp_bound(steps[i].x_lo, steps[j].x_lo))
     runs = itertools.groupby(order, rank.__getitem__)
@@ -326,7 +290,7 @@ def _disconnections(dom: RectDomain) -> Iterator[str]:
 # -- the corner system ----------------------------------------------------
 
 
-def _solve_pair(e_l: LevelEntry, e_u: LevelEntry) -> list[tuple[ExtReal, ExtReal]]:
+def _solve_pair(e_l: Level, e_u: Level) -> list[tuple[ExtReal, ExtReal]]:
     """Candidate (x_a, x_b) solutions for a chosen (y_ell, y_u) pair: x_b =
     wl(oo) when y_ell is b-anchored, else wl(x_a); x_a = wu(oo) when y_u is
     a-anchored, else wu(x_b), with wl = S @ (y_ell's word) and likewise wu (S
@@ -344,24 +308,13 @@ def _solve_pair(e_l: LevelEntry, e_u: LevelEntry) -> list[tuple[ExtReal, ExtReal
     return [s for s in sols if not any(isinstance(x, Infinity) for x in s)]
 
 
-def _nearest(
-    entries: list[LevelEntry], rank: list[int], anchor: int, sign: int
-) -> list[LevelEntry]:
-    """The six levels nearest entries[anchor]'s, at or above it for sign 1
-    and at or below it for sign -1, nearest first and ties in entry order:
-    rank[i], the rank of entries[i]'s level, decides alone."""
+def _nearest(levels: list[Level], rank: list[int], anchor: int, sign: int) -> list[Level]:
+    """The six levels nearest levels[anchor], at or above it for sign 1 and
+    at or below it for sign -1, nearest first and ties in level order:
+    rank[i], the rank of levels[i]'s value, decides alone."""
     r = rank[anchor]
-    cs = [i for i in range(len(entries)) if i != anchor and sign * (rank[i] - r) >= 0]
-    return [entries[i] for i in sorted(cs, key=lambda i: sign * rank[i])[:6]]
-
-
-def _finiteness_error(tro: TruncatedOrbits) -> ConstructionError:
-    """The error for orbits unresolved at the cap.  Built here, not in a
-    local of the raising frame: that local would tie the error to its own
-    traceback in a cycle, which keeps the orbits alive until a collection."""
-    err = ConstructionError("finiteness condition fails at the cap")
-    err.failed_endpoint = "a" if tro.cycle_a.classification == "undetermined" else "b"
-    return err
+    cs = [i for i in range(len(levels)) if i != anchor and sign * (rank[i] - r) >= 0]
+    return [levels[i] for i in sorted(cs, key=lambda i: sign * rank[i])[:6]]
 
 
 def solve_corners(params: Params, tro: TruncatedOrbits) -> RectDomain:
@@ -374,16 +327,22 @@ def solve_corners(params: Params, tro: TruncatedOrbits) -> RectDomain:
     ranks the levels once; the candidates and every staircase read ranks.
     """
     if not tro.finite:
-        raise _finiteness_error(tro)
-    lower_entries, upper_entries = _entries(tro)
+        # raised, not kept in a local: the error would then hold its own
+        # traceback, and this frame's orbits, until a collection
+        failed = "a" if tro.cycle_a.classification == "undetermined" else "b"
+        raise ConstructionError("finiteness condition fails at the cap", failed)
+    lower_levels, upper_levels = tro.la + tro.lb, tro.ua + tro.ub
+    for e in lower_levels + upper_levels:
+        if isinstance(e.value, Infinity):
+            raise ConstructionError(f"orbit level at infinity: {e.origin}")
     if not tro.lb or not tro.ua:
         raise ConstructionError("missing anchor level (empty cycle side)")
-    _, rank = _ranks([e.value for e in lower_entries + upper_entries])
-    lower_rank, upper_rank = rank[: len(lower_entries)], rank[len(lower_entries) :]
+    _, rank = _ranks([e.value for e in lower_levels + upper_levels])
+    lower_rank, upper_rank = rank[: len(lower_levels)], rank[len(lower_levels) :]
     # the anchors Sb = Lb[0], after the La levels, and Sa = Ua[0], the first upper level
-    uppers = _nearest(upper_entries, upper_rank, 0, -1)
+    uppers = _nearest(upper_levels, upper_rank, 0, -1)
     failures: list[str] = []
-    for e_l in _nearest(lower_entries, lower_rank, len(tro.la), 1):
+    for e_l in _nearest(lower_levels, lower_rank, len(tro.la), 1):
         for e_u in uppers:
             for x_a, x_b in _solve_pair(e_l, e_u):
                 if cmp_bound(x_a, 1) < 0 or cmp_bound(x_b, -1) > 0:
@@ -393,8 +352,8 @@ def solve_corners(params: Params, tro: TruncatedOrbits) -> RectDomain:
                     )
                     continue
                 try:
-                    lower = _sorted_steps(lower_entries, lower_rank, x_a, x_b)
-                    upper = _sorted_steps(upper_entries, upper_rank, x_a, x_b)
+                    lower = _sorted_steps(lower_levels, lower_rank, x_a, x_b)
+                    upper = _sorted_steps(upper_levels, upper_rank, x_a, x_b)
                 except ConstructionError as exc:
                     failures.append(f"({e_l.origin},{e_u.origin}): {exc}")
                     continue
@@ -485,7 +444,7 @@ def locking_segments(dom: RectDomain) -> list[dict]:
     out = []
     for res, chain in ((dom.orbits.cycle_a, "La"), (dom.orbits.cycle_b, "Lb")):
         if res.classification == "strong":
-            s = _segment(LevelEntry(res.end, res.lower_words[-1], chain, 0), dom.x_a, dom.x_b)
+            s = _segment(Level(res.end, res.lower_words[-1], chain, 0), dom.x_a, dom.x_b)
             lo, hi = as_float(s.x_lo), as_float(s.x_hi)
             out.append({"level": as_float(res.end), "x_lo": lo, "x_hi": hi})
     return out

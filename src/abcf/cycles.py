@@ -10,7 +10,9 @@ when the composed word over the cycle acts as the identity), are both
 eventually periodic without meeting, or remain unresolved at the cap.
 They are walked in lockstep and stop where this is decided: at the first
 meeting, once both have closed on a repeat, or at the cap.  Each side
-keeps one transport word per value it walked.
+keeps one transport word per value it walked.  The four truncated orbits
+(La, Ua of a; Lb, Ub of b) come as Level records, value and word with
+their chain and position: the staircase levels of the attractor.
 """
 
 from __future__ import annotations
@@ -146,31 +148,54 @@ def detect_cycle(params: Params, which: Literal["a", "b"], cap: int = 100_000) -
     return res
 
 
+Chain = Literal["La", "Lb", "Ua", "Ub"]
+
+
+@dataclass(frozen=True)
+class Level:
+    """One staircase level: the value at position pos of a truncated orbit
+    (lower or upper, of a or b), and the word carrying the endpoint there."""
+
+    value: ExtReal
+    word: Mobius
+    chain: Chain
+    pos: int
+
+    @property
+    def a_anchored(self) -> bool:
+        return self.chain in ("La", "Ua")
+
+    @property
+    def origin(self) -> str:
+        return f"{self.chain}[{self.pos}]"
+
+
 @dataclass
 class TruncatedOrbits:
-    """The level data (value, transport word) of the four truncated orbits.
-    If a's cycle is unresolved, b is not walked and cycle_b has no orbits."""
+    """The levels of the four truncated orbits.  If a's cycle is
+    unresolved, b is not walked and cycle_b has no orbits."""
 
-    la: list[tuple[ExtReal, Mobius]]
-    ua: list[tuple[ExtReal, Mobius]]
-    lb: list[tuple[ExtReal, Mobius]]
-    ub: list[tuple[ExtReal, Mobius]]
+    la: list[Level]
+    ua: list[Level]
+    lb: list[Level]
+    ub: list[Level]
     finite: bool
     cycle_a: CycleResult
     cycle_b: CycleResult
 
 
-def _truncate_side(
-    res: CycleResult, orbit: Optional[OrbitRecord], words: list[Mobius]
-) -> list[tuple[ExtReal, Mobius]]:
-    """One side's (value, word) levels: its closed orbit whole, or its cycle
-    side up to the end, which a weak cycle keeps, as the one object res.end."""
+def _truncate_side(res: CycleResult, chain: Chain) -> list[Level]:
+    """One side's levels: its closed orbit whole, or its cycle side up to the
+    end, which a weak cycle keeps, as the one object res.end."""
+    lower = chain[0] == "L"
+    words = res.lower_words if lower else res.upper_words
     if not words:  # undetermined
         return []
-    out = list(zip(orbit.values[: len(words) - (res.end is not None)], words))
+    orbit = res.lower_orbit if lower else res.upper_orbit
+    values = orbit.values[: len(words) - (res.end is not None)]
     if res.classification == "weak":
-        out.append((res.end, words[-1]))  # weak cycles end at 0; keep it
-    return out
+        values.append(res.end)  # weak cycles end at 0; keep it
+    return [Level(v, w, chain, i) for i, (v, w) in enumerate(zip(values, words))]
 
 
 def truncated_orbits(params: Params, cap: int = 100_000) -> TruncatedOrbits:
@@ -184,10 +209,10 @@ def truncated_orbits(params: Params, cap: int = 100_000) -> TruncatedOrbits:
     cb = detect_cycle(params, "b", cap) if a_resolved else CycleResult("b", "undetermined")
     finite = a_resolved and cb.classification != "undetermined"
     return TruncatedOrbits(
-        la=_truncate_side(ca, ca.lower_orbit, ca.lower_words),
-        ua=_truncate_side(ca, ca.upper_orbit, ca.upper_words),
-        lb=_truncate_side(cb, cb.lower_orbit, cb.lower_words),
-        ub=_truncate_side(cb, cb.upper_orbit, cb.upper_words),
+        la=_truncate_side(ca, "La"),
+        ua=_truncate_side(ca, "Ua"),
+        lb=_truncate_side(cb, "Lb"),
+        ub=_truncate_side(cb, "Ub"),
         finite=finite,
         cycle_a=ca,
         cycle_b=cb,

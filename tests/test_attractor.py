@@ -32,7 +32,7 @@ from abcf.cycles import truncated_orbits
 from abcf.exceptional import exceptional_b, parse_plan
 from abcf.natext import Box, F_step_array, invariant_box_measure, sample_attractor, trapping_region
 from abcf.params import ParamError, Params, interior_rational_params
-from abcf.scalars import NEG_INF, POS_INF, Surd, as_float, cmp_bound
+from abcf.scalars import INF, NEG_INF, POS_INF, Surd, as_float, cmp_bound
 
 
 Z = Params.make("-4/5", "2/5")
@@ -102,7 +102,8 @@ def test_hurwitz_chart_golden_corners():
 def test_corners_of_each_solve_branch(a, b, levels, corners):
     dom = build_attractor(Params.make(a, b))
     assert (dom.x_a, dom.x_b) == corners
-    entries = {e.origin: e for e in sum(attractor._entries(dom.orbits), [])}
+    tro = dom.orbits
+    entries = {e.origin: e for e in tro.la + tro.lb + tro.ua + tro.ub}
     assert attractor._solve_pair(entries[levels[0]], entries[levels[1]])[0] == corners
 
 
@@ -111,12 +112,41 @@ def test_level_multiset_identity():
     for p in interior_rational_params(rng, 8):
         dom = build_attractor(p)
         tro = truncated_orbits(p)
-        assert sorted(as_float(v) for v, _ in tro.la + tro.lb) == [
+        assert sorted(as_float(e.value) for e in tro.la + tro.lb) == [
             as_float(s.y) for s in dom.lower
         ]
-        assert sorted(as_float(v) for v, _ in tro.ua + tro.ub) == [
+        assert sorted(as_float(e.value) for e in tro.ua + tro.ub) == [
             as_float(s.y) for s in dom.upper
         ]
+
+
+#: the fixed verify-short pairs, the boundary-line pairs (1/k - 1, 1/k) and
+#: the generation-3 rational next to the exceptional set
+IDENTITY_CASES = ["-1,1", "-1/2,1/2", "-7/10,4/5", "-4/5,2/5", "-3/4,4/7", "-6/5,1/3", "-5/6,3/5",
+                  "k=17", "k=31", "k=53", "gen3"]
+
+
+@pytest.mark.parametrize("case", IDENTITY_CASES)
+def test_each_step_is_the_segment_of_its_level(case):
+    # every step is the transported segment of the orbit level its origin
+    # names, lower steps of lower levels and upper of upper, and every level
+    # makes exactly one step.  (-1, 1) gets its explicit domain from
+    # build_attractor, so every case solves its corners from its orbits
+    if case.startswith("k="):
+        k = int(case[2:])
+        p = Params(Fraction(1, k) - 1, Fraction(1, k))
+    elif case == "gen3":
+        b = _near_exceptional_b()
+        p = Params(b - 1, b)
+    else:
+        p = Params.make(*case.split(","))
+    dom = solve_corners(p, truncated_orbits(p))
+    tro = dom.orbits
+    for steps, levels in ((dom.lower, tro.la + tro.lb), (dom.upper, tro.ua + tro.ub)):
+        by_origin = {e.origin: e for e in levels}
+        assert sorted(s.origin for s in steps) == sorted(by_origin)
+        for s in steps:
+            assert s == attractor._segment(by_origin[s.origin], dom.x_a, dom.x_b)
 
 
 def test_monotone_steps():
@@ -648,6 +678,26 @@ def test_finiteness_error_names_the_endpoint_and_frees_the_orbits(monkeypatch):
         assert len(refs) == 1 and refs[0]() is None
     finally:
         gc.enable()
+
+
+def test_finiteness_error_names_b_when_only_b_is_unresolved():
+    # a's cycle resolves within cap 10, b's upper side needs 27 steps
+    p = Params.make("-16/17", "1/10")
+    with pytest.raises(ConstructionError, match="^finiteness condition fails at the cap$") as info:
+        build_attractor(p, cap=10)
+    assert info.value.failed_endpoint == "b"
+    assert build_attractor(p, cap=27).orbits.cycle_b.upper_steps == 27
+
+
+def test_level_checks_come_in_order():
+    # a level at infinity is refused before a missing anchor is
+    tro = build_attractor(Z).orbits
+    far = dataclasses.replace(tro.ua[0], value=INF)
+    broken = dataclasses.replace(tro, ua=[far, *tro.ua[1:]], lb=[])
+    with pytest.raises(ConstructionError, match=r"^orbit level at infinity: Ua\[0\]$"):
+        solve_corners(Z, broken)
+    with pytest.raises(ConstructionError, match=r"^missing anchor level \(empty cycle side\)$"):
+        solve_corners(Z, dataclasses.replace(tro, lb=[]))
 
 
 def test_json_round_trip_shape():

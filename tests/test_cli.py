@@ -524,6 +524,17 @@ def test_verify_runs_the_orbits_at_most_once(pair, suite, calls, monkeypatch, ca
         assert payload["ok"] is False
 
 
+def test_verify_names_b_when_only_b_is_unresolved(capsys):
+    # a's cycle sides are at most 2 steps, b's reach 27: at cap 10 the
+    # construction fails on b, and verify reports it without a domain
+    code, out = run_cli(["verify", "--a", "-16/17", "--b", "1/10", "--suite", "bijectivity",
+                         "--cap", "10"], capsys)
+    payload = json.loads(out)
+    assert code == 2 and list(payload) == ["config", "finiteness", "ok"]
+    assert payload["finiteness"] == {"finite": False, "failed_endpoint": "b"}
+    assert payload["ok"] is False
+
+
 @pytest.mark.parametrize("pair, calls, degenerate", [
     (("-16/17", "1/17"), 2, False),  # a rejected corner candidate, then the accepted one
     (("-1", "1"), 1, True),

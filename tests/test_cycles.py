@@ -126,16 +126,16 @@ def test_symmetry_mirror():
 def test_truncated_orbits_simple_case():
     p = Params.make("-7/10", "4/5")
     tro = truncated_orbits(p)
-    assert sorted(v for v, _ in tro.la) == [Fraction(-10, 3), Fraction(3, 10)]
-    assert sorted(v for v, _ in tro.ua) == [Fraction(3, 7), Fraction(10, 7)]
-    assert sorted(v for v, _ in tro.lb) == [Fraction(-5, 4), Fraction(-1, 4)]
-    assert sorted(v for v, _ in tro.ub) == [Fraction(-1, 5), Fraction(5)]
+    assert sorted(e.value for e in tro.la) == [Fraction(-10, 3), Fraction(3, 10)]
+    assert sorted(e.value for e in tro.ua) == [Fraction(3, 7), Fraction(10, 7)]
+    assert sorted(e.value for e in tro.lb) == [Fraction(-5, 4), Fraction(-1, 4)]
+    assert sorted(e.value for e in tro.ub) == [Fraction(-1, 5), Fraction(5)]
 
 
 def test_truncated_orbits_weak_include_zero():
     tro = truncated_orbits(Params.make("-1/2", "1/2"))
-    assert Fraction(0) in [v for v, _ in tro.la]
-    assert Fraction(0) in [v for v, _ in tro.ua]
+    assert Fraction(0) in [e.value for e in tro.la]
+    assert Fraction(0) in [e.value for e in tro.ua]
 
 
 def test_weak_end_is_one_object():
@@ -144,8 +144,8 @@ def test_weak_end_is_one_object():
     tro = truncated_orbits(Params.make("-1/2", "1/2"))
     for cyc, lower, upper in ((tro.cycle_a, tro.la, tro.ua), (tro.cycle_b, tro.lb, tro.ub)):
         assert cyc.classification == "weak"
-        assert lower[-1][0] is upper[-1][0] is cyc.end
-        assert lower[-1][1] is cyc.lower_words[-1] and upper[-1][1] is cyc.upper_words[-1]
+        assert lower[-1].value is upper[-1].value is cyc.end
+        assert lower[-1].word is cyc.lower_words[-1] and upper[-1].word is cyc.upper_words[-1]
 
 
 def test_shift_consequence_flags_agree():
