@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Literal, Optional, Sequence
 
 from .cf import evaluate_minus_cf
+from .mobius import minus_cf_matrix
 from .scalars import (
     Scalar,
     as_float,
@@ -115,10 +116,18 @@ class SubstitutionScheme:
         """Exact bounds of the generation's triangle in closed form:
         vertex (0, overline(A)), base (0, A, overline(B)) with the base
         blocks."""
-        A, B = self.base
-        lo = -evaluate_minus_cf([0, *A], list(B))
-        hi = vertex_value(self.A)
-        return TriangleRegion(self.m, self.A, lo, hi, empty=cmp_exact(lo, hi) >= 0)
+        return _triangle_and_base(self)[0]
+
+
+def _triangle_and_base(scheme: SubstitutionScheme) -> tuple[TriangleRegion, Scalar]:
+    """The generation's triangle and the length of its lower base, whose
+    ends (0, A, overline(B)) and (0, overline(B)) are read off one tail:
+    the base block B's attracting fixed point."""
+    A, B = scheme.base
+    tail = evaluate_minus_cf([], B)
+    left, right = minus_cf_matrix([0, *A]).apply(tail), minus_cf_matrix([0]).apply(tail)
+    lo, hi = -left, vertex_value(scheme.A)
+    return TriangleRegion(scheme.m, scheme.A, lo, hi, empty=cmp_exact(lo, hi) >= 0), right - left
 
 
 def substitution_step(
@@ -170,10 +179,7 @@ def run_plan(m: int, plan: Sequence[tuple[Case, int]], depth: Optional[int] = No
 def base_length(scheme: SubstitutionScheme) -> Scalar:
     """Length of the lower base of the generation's triangle, from
     scheme.base."""
-    A, B = scheme.base
-    right = evaluate_minus_cf([0], list(B))
-    left = evaluate_minus_cf([0, *A], list(B))
-    return right - left
+    return _triangle_and_base(scheme)[1]
 
 
 @dataclass
@@ -215,10 +221,9 @@ def exceptional_b(
     scheme = SubstitutionScheme.initial(m)
     for case, mult in plan:
         scheme = substitution_step(scheme, case, mult)
-        tri = scheme.triangle()
+        tri, L = _triangle_and_base(scheme)
         if tri.empty:
             raise AssertionError(f"plan produced an empty triangle at gen {scheme.gen}")
-        L = base_length(scheme)
         _, hi, den = enclosure(L, 96)
         L_f = hi / den
         if L_f < target_width:

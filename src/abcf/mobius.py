@@ -106,6 +106,8 @@ class Mobius:
         Roots of c x^2 + (d - a) x - b = 0; the attracting one satisfies
         |c x + d| > 1 (the derivative 1/(c x + d)^2 is < 1 there).  A
         hyperbolic matrix has c != 0: c = 0 makes a d = 1, so |a + d| = 2.
+        The discriminant is no square, so the roots are surds, and the
+        second is the first's conjugate, canonical as it is: same gcd, same r.
         """
         a, b, c, d = self.a, self.b, self.c, self.d
         cls = self.classify()
@@ -113,9 +115,8 @@ class Mobius:
             return (INF,) if c == 0 else (Fraction(a - d, 2 * c),)
         if cls != "hyperbolic":
             return ()
-        disc = self.trace() ** 2 - 4
-        r1 = Surd.make(a - d, 1, 2 * c, disc)
-        r2 = Surd.make(a - d, -1, 2 * c, disc)
+        r1 = Surd.make(a - d, 1, 2 * c, self.trace() ** 2 - 4)
+        r2 = Surd(r1.p, -r1.q, r1.r, r1.d)
         t = c * r1 + d
         return (r1, r2) if t * t > 1 else (r2, r1)
 

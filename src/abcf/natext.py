@@ -34,15 +34,24 @@ from .scalars import (
 def rho(y: ExtReal, params: Params, from_below: bool = False) -> Mobius:
     """Generator applied at y: T below a, S on [a, b), T^-1 from b up and
     at infinity.  With from_below, an exact hit on a or b takes the branch
-    from just below instead (T at a, S at b)."""
+    from just below instead (T at a, S at b).
+
+    On an exact pair a rational y is placed by its one float p/q against
+    params.a_float and params.b_float: int / int rounds correctly, hence
+    monotonically, so unequal floats decide, as in cmp_exact.  A tie (equal
+    floats, +-0, both infinite) or a y past float range compares exactly."""
     if isinstance(y, Infinity):
         return T_INV
-    ca = params.cmp(y, params.a)
-    if ca < 0 or (ca == 0 and from_below):
-        return T
-    cb = params.cmp(y, params.b)
-    if cb < 0 or (cb == 0 and from_below):
-        return S
+    fy = None
+    if params.exact and isinstance(y, Fraction):
+        try:
+            fy = y.numerator / y.denominator
+        except OverflowError:
+            pass
+    for end, f_end, branch in ((params.a, params.a_float, T), (params.b, params.b_float, S)):
+        c = params.cmp(y, end) if fy is None or fy == f_end else 1 if fy > f_end else -1
+        if c < 0 or (c == 0 and from_below):
+            return branch
     return T_INV
 
 

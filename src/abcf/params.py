@@ -9,7 +9,7 @@ pairs compare through the pair's tolerance ``eps``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import (
@@ -42,6 +42,9 @@ class Params:
     a: Scalar
     b: Scalar
     eps: float = 1e-12
+    #: as_float of a and b, made once per pair (natext.rho reads them)
+    a_float: float = field(init=False, repr=False, compare=False)
+    b_float: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.eps < 0.5:
@@ -64,6 +67,8 @@ class Params:
         for ok, name in checks:
             if not ok:
                 raise ParamError(f"violated: {name} (a={a}, b={b})")
+        object.__setattr__(self, "a_float", as_float(a))
+        object.__setattr__(self, "b_float", as_float(b))
 
     # -- factory ---------------------------------------------------------
 
@@ -130,8 +135,8 @@ class Params:
         return {
             "a": format_scalar(self.a),
             "b": format_scalar(self.b),
-            "a_float": as_float(self.a),
-            "b_float": as_float(self.b),
+            "a_float": self.a_float,
+            "b_float": self.b_float,
             "mode": "exact" if self.exact else "float",
             "eps": self.eps,
         }

@@ -406,20 +406,25 @@ def _cf_digits(p: int, q: int) -> Iterator[tuple[int, bool]]:
 
 
 def simplest_in_interval(a: Fraction, b: Fraction) -> Fraction:
-    """The rational with the smallest denominator in the closed [a, b].
+    """The rational with the smallest denominator in the closed [a, b]."""
+    if b < a:
+        raise ValueError("empty interval")
+    return _simplest(a.numerator, a.denominator, b.numerator, b.denominator)
 
-    Reads the digits of a and b, each from its own stream (_cf_digits),
+
+def _simplest(pa: int, qa: int, pb: int, qb: int) -> Fraction:
+    """simplest_in_interval on [pa/qa, pb/qb], qa, qb > 0, not reduced.
+
+    Reads the digits of both ends, each from its own stream (_cf_digits),
     while no integer lies between their complete quotients: both then
     share the digit n, and the interval maps to [1/(b - n), 1/(a - n)].
     The last digit is the ceiling of the lower end (at step 0 the integer
     nearest 0), and the answer is the convergent of the digits read.  The
     simplest rational of a closed interval is unique, so the batches
     cannot change it; they touch the long integers once per batch, not
-    once per digit.
+    once per digit.  A common factor of p and q changes no digit.
     """
-    if b < a:
-        raise ValueError("empty interval")
-    lo, hi = _cf_digits(a.numerator, a.denominator), _cf_digits(b.numerator, b.denominator)
+    lo, hi = _cf_digits(pa, qa), _cf_digits(pb, qb)
     h, h1, k, k1 = 1, 0, 0, 1  # convergents h/k and the one before
     while True:
         (dl, last), (du, _) = next(lo), next(hi)
@@ -443,9 +448,13 @@ def midpoint_rational(x: Scalar, y: Scalar) -> Fraction:
             raise ValueError("midpoint_rational expects x < y")
         if xhi * yd < ylo * xd:
             # the middle half of the gap, u/(xd*yd) to v/(xd*yd), so exact
-            # endpoints stay outside
+            # endpoints stay outside; the 2**bits of the surd enclosures'
+            # denominators is shifted out of the three integers, no gcd taken
             u, v, den = xhi * yd, ylo * xd, 4 * xd * yd
-            return simplest_in_interval(Fraction(3 * u + v, den), Fraction(u + 3 * v, den))
+            lo, hi = 3 * u + v, u + 3 * v
+            g = lo | hi | den
+            s = (g & -g).bit_length() - 1
+            return _simplest(lo >> s, den >> s, hi >> s, den >> s)
     raise PrecisionError(f"cannot separate {x!r} and {y!r}")
 
 

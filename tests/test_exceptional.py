@@ -1,9 +1,14 @@
 import hashlib
 import random
+import runpy
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import abcf.cli  # noqa: F401  (loads every module that binds cmp_exact)
+from abcf import scalars
 from abcf.cf import evaluate_minus_cf, expand
 from abcf.cycles import truncated_orbits
 from abcf.exceptional import (
@@ -17,7 +22,7 @@ from abcf.exceptional import (
     triangle_region,
     vertex_value,
 )
-from abcf.mobius import S, minus_cf_matrix
+from abcf.mobius import Mobius, S, minus_cf_matrix
 from abcf.params import Params
 from abcf.scalars import Surd, as_float, cmp_exact, enclosure
 
@@ -232,6 +237,64 @@ def test_deep_plan_b_is_pinned(plan, width, bits, digest):
     b = exceptional_b(*parse_plan(plan), width).b_mid
     assert b.denominator.bit_length() == bits
     assert hashlib.sha256(f"{b.numerator}/{b.denominator}".encode()).hexdigest().startswith(digest)
+
+
+def test_exceptional_outputs_match_the_golden_hashes():
+    # `exceptional` on the two deep benchmark plans and CI's plan at 1e-60,
+    # and `verify --suite all --cap 1000` on each deep plan's (b - 1, b),
+    # print byte for byte what they printed when golden/exceptional.sha256
+    # was written by golden/make_exceptional.py
+    golden = Path(__file__).parent / "golden"
+    got = runpy.run_path(str(golden / "make_exceptional.py"))["digests"]()
+    assert got == (golden / "exceptional.sha256").read_text().splitlines()
+
+
+def test_triangle_and_base_length_are_the_closed_forms():
+    # one tail per base: the triangle's base -(0, A, overline(B)) and the
+    # base length (0, overline(B)) - (0, A, overline(B)), each evaluated
+    # from its own expression, surd for surd
+    plan = [("case1", 2), ("case2", 1), ("case1", 3), ("case2", 2), ("case1", 2)]
+    for sch in run_plan(3, plan):
+        A, B = sch.base
+        left = evaluate_minus_cf([0, *A], list(B))
+        want = (-left, evaluate_minus_cf([0], list(B)) - left)
+        for got, w in zip((sch.triangle().b_lo, base_length(sch)), want):
+            assert (got.p, got.q, got.r, got.d) == (w.p, w.q, w.r, w.d)
+
+
+DEEP_PLAN = "m=3;1x2,1x2,1x3,1x2,1x2,1x2,1x3,1x2"
+
+
+def count_calls(monkeypatch, owners, name: str) -> list:
+    """Wrap the attribute name of each owner; every call through any of
+    them appends to the one list returned."""
+    calls = []
+    for owner in owners:
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, real=real: calls.append(None) or real(*args))
+    return calls
+
+
+def test_exceptional_b_evaluates_each_tail_once(monkeypatch):
+    # per generation of the 1e-200 plan (7): B's tail and the vertex, one
+    # fixed_points call and one square extraction each
+    fixed = count_calls(monkeypatch, [Mobius], "fixed_points")
+    squares = count_calls(monkeypatch, [scalars], "_extract_square")
+    assert exceptional_b(*parse_plan(DEEP_PLAN), 1e-200).generations == 7
+    assert (len(fixed), len(squares)) == (14, 14)
+
+
+def test_deep_orbit_walk_compares_by_floats(monkeypatch):
+    # rho places the 2,002 rational orbit values of the 1e-200 plan's b by
+    # one float each; only ties reach cmp_exact, counted through every
+    # module that binds it
+    b = exceptional_b(*parse_plan(DEEP_PLAN), 1e-200).b_mid
+    params = Params(b - 1, b)
+    binders = [m for n, m in sorted(sys.modules.items()) if n.startswith("abcf.") and hasattr(m, "cmp_exact")]
+    calls = count_calls(monkeypatch, binders, "cmp_exact")
+    tro = truncated_orbits(params, 1000)
+    assert not tro.finite
+    assert len(calls) < 100
 
 
 def test_parse_plan():

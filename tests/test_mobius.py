@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from abcf.mobius import IDENTITY, S, T, T_INV, T_pow, minus_cf_matrix
+from abcf.mobius import IDENTITY, Mobius, S, T, T_INV, T_pow, minus_cf_matrix
 from abcf.scalars import INF, Surd, as_float
 
 GENERATORS = {"T": T, "T'": T_INV, "S": S}
@@ -182,3 +184,39 @@ def test_minus_cf_matrix_is_the_product_of_T_pow_S():
         for n in digits:
             m = m @ (T_pow(n) @ S)
         assert minus_cf_matrix(digits) == m == minus_cf_matrix(tuple(digits))
+
+
+@st.composite
+def hyperbolic_matrices(draw):
+    """(t -1; 1 0) of trace |t| > 2, conjugated by a word, so c takes both
+    signs; t = 1009**2 + 2 puts 1009**2, past the square sieve, in t**2 - 4."""
+    t = draw(st.integers(3, 10**30) | st.sampled_from([1009**2 + 2, 5 * 1009**2 - 2]))
+    m = Mobius(draw(st.sampled_from([1, -1])) * t, -1, 1, 0)
+    for g in draw(st.lists(st.sampled_from([T, T_INV, S]), max_size=12)):
+        m = g @ m @ g.inverse()
+    return m
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(hyperbolic_matrices())
+def test_fixed_points_are_the_two_made_roots(m):
+    # the second root is the first's conjugate, already canonical: it is
+    # what Surd.make gives for the other sign, field by field, and the
+    # attracting root |c x + d| > 1 comes first
+    disc = m.trace() ** 2 - 4
+    roots = [Surd.make(m.a - m.d, s, 2 * m.c, disc) for s in (1, -1)]
+    t = m.c * roots[0] + m.d
+    if t * t < 1:
+        roots.reverse()
+    got = m.fixed_points()
+    assert [(x.p, x.q, x.r, x.d) for x in got] == [(x.p, x.q, x.r, x.d) for x in roots]
+
+
+def test_fixed_points_keep_an_unsieved_square():
+    # 1009**2 survives the sieve in the radicand; c < 0 flips r's sign
+    m = Mobius(0, 1, -1, 1009**2 + 2)
+    assert m.c < 0
+    att, rep = m.fixed_points()
+    assert att.d == rep.d and att.d % 1009**2 == 0
+    assert (rep.p, rep.q, rep.r) == (att.p, -att.q, att.r)
+    assert rep == Surd.make(m.a - m.d, -1, 2 * m.c, m.trace() ** 2 - 4)

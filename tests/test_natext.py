@@ -25,7 +25,7 @@ from abcf.natext import (
     trapping_region,
 )
 from abcf.params import Params
-from abcf.scalars import INF, NEG_INF, POS_INF, ExtReal, Surd, as_float
+from abcf.scalars import INF, NEG_INF, POS_INF, ExtReal, Surd, as_float, enclosure
 
 
 Z = Params.make("-4/5", "2/5")
@@ -72,6 +72,82 @@ def test_rho_examples():
     assert rho(Fraction(0), Z) is S
     assert rho(Fraction(2, 5), Z) is T_INV
     assert rho(INF, Z) is T_INV
+
+
+def rho_by_cmp(y: ExtReal, params: Params, from_below: bool = False):
+    """rho without its float filter: each end decided by Params.cmp, which
+    is cmp_exact on an exact pair and the eps rule on a float one."""
+    if y is INF:
+        return T_INV
+    ca = params.cmp(y, params.a)
+    if ca < 0 or (ca == 0 and from_below):
+        return T
+    cb = params.cmp(y, params.b)
+    if cb < 0 or (cb == 0 and from_below):
+        return S
+    return T_INV
+
+
+_GOLDEN = Surd.make(-1, 1, 2, 5)
+#: rational, long-rational (b - a = 1 with b = 3/8 + 3**-200), surd, float
+#: and beyond-float-range pairs
+RHO_PAIRS = [
+    Z,
+    Params(Fraction(-5, 8) + Fraction(1, 3**200), Fraction(3, 8) + Fraction(1, 3**200)),
+    Params(_GOLDEN - 1, _GOLDEN),
+    Params(-0.8, 0.4, eps=1e-6),
+    Params(Fraction(-1, 10**400), Fraction(10**400)),
+]
+
+
+@st.composite
+def rho_points(draw):
+    """A pair and a y beside one of its ends: a rational within 2**-60 of
+    it, or 2**-1100 away (so the floats of y and the end tie), the end
+    itself, a surd, or a step of eps; also far values, 0 and INF."""
+    params = draw(st.sampled_from(RHO_PAIRS))
+    end = draw(st.sampled_from([params.a, params.b]))
+    k = draw(st.integers(-3, 3))
+    kind = draw(st.sampled_from(["near", "tie", "surd", "far", "zero", "inf"]))
+    if kind == "inf":
+        return params, INF
+    if kind == "zero":
+        return params, Fraction(k, 10**draw(st.sampled_from([0, 500])))
+    if not params.exact:
+        step = draw(st.sampled_from([params.eps / 2, params.eps, 2 * params.eps, 1e-17]))
+        y = end + k * step
+        return params, Fraction(y) if kind == "far" else y
+    if kind == "far":
+        return params, end * draw(st.sampled_from([2, 10**100, Fraction(1, 10**100)])) + k
+    if kind == "surd":
+        return params, end + k * _GOLDEN / 2**70
+    lo, hi, den = enclosure(end, 1100)  # a surd end's rational neighbours
+    scale = 2**60 if kind == "near" else 2**1100
+    near = Fraction(draw(st.sampled_from([lo, hi])), den)
+    return params, near + Fraction(k, scale * draw(st.integers(1, 60)))
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(rho_points(), st.booleans())
+def test_rho_is_the_branch_cmp_exact_decides(point, from_below):
+    params, y = point
+    assert rho(y, params, from_below) is rho_by_cmp(y, params, from_below)
+
+
+def test_rho_decides_float_ties_exactly():
+    # y at 2**-1100 from an end has the end's float: the tie is decided
+    # exactly, and from_below only moves the branch at the end itself
+    for params in RHO_PAIRS:
+        if not params.exact:
+            continue
+        for end, below, above in ((params.a, T, S), (params.b, S, T_INV)):
+            for y, fb, want in (
+                (end - Fraction(1, 2**1100), False, below),
+                (end + Fraction(1, 2**1100), True, above),
+                (end, True, below),
+                (end, False, above),
+            ):
+                assert rho(y, params, fb) is want, (params, y, fb)
 
 
 def test_F_step_examples():

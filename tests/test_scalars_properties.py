@@ -15,9 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from abcf.exceptional import exceptional_b, parse_plan
 from abcf.scalars import (
     Surd,
     _cf_digits,
+    _enclosures,
     cmp_exact,
     floor_exact,
     midpoint_rational,
@@ -310,3 +312,35 @@ def test_cmp_exact_on_long_fractions_whose_floats_tie():
             assert cmp_exact(x, y) == (x > y) - (x < y) == -cmp_exact(y, x)
         assert all(cmp_exact(x, y) == 0 for y in twins)
         assert all(cmp_exact(x, y) != 0 for y in far)
+
+
+def midpoint_by_fractions(x, y) -> Fraction:
+    """midpoint_rational as it was: the middle-half ends reduced to
+    Fractions, then the full-size digit loop."""
+    for (xlo, xhi, xd), (ylo, yhi, yd) in _enclosures(x, y, bits=128, top=1 << 22):
+        if xhi * yd < ylo * xd:
+            u, v, den = xhi * yd, ylo * xd, 4 * xd * yd
+            return reference_simplest(Fraction(3 * u + v, den), Fraction(u + 3 * v, den))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(surd_pairs(), rational_pairs())
+def test_midpoint_rational_is_the_reduced_fraction_midpoint(pair, rationals):
+    # the ends, unreduced with 2**bits shifted out, give the same rational
+    for u, v in (pair, rationals, (pair[0], rationals[0]), (rationals[1], pair[1])):
+        if cmp_exact(u, v) != 0:
+            u, v = (u, v) if cmp_exact(u, v) < 0 else (v, u)
+            assert midpoint_rational(u, v) == midpoint_by_fractions(u, v)
+
+
+@pytest.mark.parametrize(
+    "plan, width",
+    [
+        ("m=3;1x2,1x2,1x3,1x2,1x2,1x2,1x3,1x2", 1e-200),
+        ("m=3;2x1,2x2,2x1,2x1,2x2,2x1,2x1", 1e-250),
+        ("m=3;1x2,1x3,1x2,1x2,1x3,1x2,1x2,1x3", 1e-60),
+    ],
+)
+def test_midpoint_of_the_last_triangles_is_the_reduced_fraction_midpoint(plan, width):
+    enc = exceptional_b(*parse_plan(plan), width)
+    assert enc.b_mid == midpoint_by_fractions(enc.b_lo, enc.b_hi)
