@@ -2,8 +2,10 @@
 
 Commands: expand, cycle, attractor (JSON or text), oracle, verify,
 exceptional, measures, plot (the one SVG figure, with or without a cloud).
-Every run echoes its configuration in the JSON output so an artifact can be
-reproduced from itself; ABCF_SEED overrides --seed.  Exit status: 0 success,
+Each handler maps its parsed arguments to (status, result), a JSON payload
+(dict) or text, and writes nothing; main prints the result once through
+_emit, a payload with the run's configuration first so an artifact can be
+reproduced from itself.  ABCF_SEED overrides --seed.  Exit status: 0 success,
 1 usage error, 2 construction or verification failure; errors are reported
 as one JSON object {"error": type name, "message": text} on stdout.
 """
@@ -53,15 +55,6 @@ def _params(args) -> Params:
     return Params.make(args.a, args.b, args.eps)
 
 
-def _write(text: str, path) -> None:
-    """Write text to the file at path, or to stdout when path is empty."""
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _json_safe(v):
     """v with every non-finite float replaced by None: JSON has no NaN."""
     if isinstance(v, dict):
@@ -71,12 +64,17 @@ def _json_safe(v):
     return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
-def _emit(payload: dict, args) -> None:
-    _write(json.dumps(_json_safe(payload), indent=2, default=str, allow_nan=False) + "\n", args.out)
-
-
-def _config_echo(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func"}
+def _emit(result, args) -> None:
+    """Write result to --out or stdout: a dict as JSON after the config echo."""
+    if isinstance(result, dict):
+        config = {k: v for k, v in vars(args).items() if k != "func"}
+        payload = _json_safe({"config": config, **result})
+        result = json.dumps(payload, indent=2, default=str, allow_nan=False) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(result)
+    else:
+        sys.stdout.write(result)
 
 
 @functools.cache
@@ -161,7 +159,9 @@ def main(argv=None) -> int:
     try:
         if "seed" in vars(args):  # ABCF_SEED overrides --seed, in the run and in its echo
             args.seed = int(os.environ.get("ABCF_SEED", args.seed))
-        return args.func(args)
+        status, result = args.func(args)
+        _emit(result, args)
+        return status
     except ParamError as exc:
         sys.stderr.write(f"invalid parameters: {exc}\n")
         return 1
@@ -195,66 +195,52 @@ def _join_negative_values(argv):
     return out
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args) -> tuple[int, dict]:
     params = _params(args)
     x = parse_scalar(args.x)
     exp = expand(x, params, args.max_digits)
-    _emit(
-        {
-            "config": _config_echo(args),
-            "digits": exp.to_json(),
-            "terminated": exp.terminated,
-            "approximate": exp.approximate,
-        },
-        args,
-    )
-    return 0
+    return 0, {
+        "digits": exp.to_json(),
+        "terminated": exp.terminated,
+        "approximate": exp.approximate,
+    }
 
 
-def _cmd_cycle(args) -> int:
+def _cmd_cycle(args) -> tuple[int, dict]:
     params = _params(args)
     res = detect_cycle(params, args.which, args.cap)
-    _emit({"config": _config_echo(args), **res.to_json()}, args)
-    return 0
+    return 0, res.to_json()
 
 
-def _cmd_attractor(args) -> int:
+def _cmd_attractor(args) -> tuple[int, dict | str]:
     params = _params(args)
     dom = build_attractor(params, args.cap)
-    payload = {"config": _config_echo(args), **dom.to_json()}
-    if args.format == "text":
-        lines = [f"x_a={payload['x_a']} x_b={payload['x_b']}"]
-        for side in ("upper", "lower"):
-            lines.append(side)
-            for s in payload[side]:
-                lines.append(f"  y={s['y']}: [{s['x_lo']}, {s['x_hi']}]  ({s['origin']})")
-        _write("\n".join(lines) + "\n", args.out)
-        return 0
-    _emit(payload, args)
-    return 0
+    payload = dom.to_json()
+    if args.format == "json":
+        return 0, payload
+    lines = [f"x_a={payload['x_a']} x_b={payload['x_b']}"]
+    for side in ("upper", "lower"):
+        lines.append(side)
+        for s in payload[side]:
+            lines.append(f"  y={s['y']}: [{s['x_lo']}, {s['x_hi']}]  ({s['origin']})")
+    return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> tuple[int, dict | str]:
     params = _params(args)
     cloud = sample_attractor(params, args.burn_in, args.n_points, args.seed)
     if args.format == "json":
-        _emit(
-            {
-                "config": _config_echo(args),
-                "dropped_projective": cloud.dropped_projective,
-                "points": [[float(x), float(y)] for x, y in cloud.points],
-            },
-            args,
-        )
-        return 0
+        return 0, {
+            "dropped_projective": cloud.dropped_projective,
+            "points": [[float(x), float(y)] for x, y in cloud.points],
+        }
     lines = [f"{x:.12g} {y:.12g}" for x, y in cloud.points]
-    _write("\n".join(lines) + "\n", args.out)
-    return 0
+    return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, dict]:
     params = _params(args)
-    report: dict = {"config": _config_echo(args)}
+    report: dict = {}
     ok = True
     try:
         dom = build_attractor(params, args.cap)
@@ -263,8 +249,7 @@ def _cmd_verify(args) -> int:
             raise
         report["finiteness"] = {"finite": False, "failed_endpoint": exc.failed_endpoint}
         report["ok"] = False
-        _emit(report, args)
-        return 2
+        return 2, report
     report["finiteness"] = {"finite": True, "failed_endpoint": None}
     report["x_a"] = None if dom.x_a is None else as_float(dom.x_a)
     report["x_b"] = None if dom.x_b is None else as_float(dom.x_b)
@@ -284,34 +269,29 @@ def _cmd_verify(args) -> int:
         scan = reduction_scan(dom, args.grid, cap=2_000)
         report["reduction"] = asdict(scan)
     report["ok"] = bool(ok)
-    _emit(report, args)
-    return 0 if ok else 2
+    return (0 if ok else 2), report
 
 
-def _cmd_exceptional(args) -> int:
+def _cmd_exceptional(args) -> tuple[int, dict]:
     m, plan = parse_plan(args.plan)
     enc = exceptional_b(m, plan, args.target_width)
-    _emit({"config": _config_echo(args), **enc.to_json()}, args)
-    return 0
+    return 0, enc.to_json()
 
 
-def _cmd_measures(args) -> int:
+def _cmd_measures(args) -> tuple[int, dict]:
     from .measures import measures_report  # numpy loads with it, for this command only
 
-    rep = measures_report(_params(args), args.n_points, args.seed)
-    _emit({"config": _config_echo(args), **rep}, args)
-    return 0
+    return 0, measures_report(_params(args), args.n_points, args.seed)
 
 
-def _cmd_plot(args) -> int:
+def _cmd_plot(args) -> tuple[int, str]:
     params = _params(args)
     dom = build_attractor(params)
     cloud = None
     if args.with_cloud:
         cloud = sample_attractor(params, args.burn_in, args.n_points, args.seed)
     w = args.window
-    _write(render_svg(dom, cloud, (-w, w, -w, w)), args.out)
-    return 0
+    return 0, render_svg(dom, cloud, (-w, w, -w, w))
 
 
 if __name__ == "__main__":

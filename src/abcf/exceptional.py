@@ -43,8 +43,6 @@ def base_value(seq: Sequence[int], m: int) -> Scalar:
 
 @dataclass(frozen=True)
 class TriangleRegion:
-    m: int
-    seq: tuple[int, ...]
     b_lo: Scalar  # horizontal base height
     b_hi: Scalar  # vertex height
     empty: bool
@@ -87,7 +85,7 @@ def triangle_region(m: int, seq: Sequence[int]) -> TriangleRegion:
                 hi = cand
     if hi is None:
         hi = vertex_value((m,))
-    return TriangleRegion(m, seq, lo, hi, empty=cmp_exact(lo, hi) >= 0)
+    return TriangleRegion(lo, hi, empty=cmp_exact(lo, hi) >= 0)
 
 
 @dataclass
@@ -127,7 +125,7 @@ def _triangle_and_base(scheme: SubstitutionScheme) -> tuple[TriangleRegion, Scal
     tail = evaluate_minus_cf([], B)
     left, right = minus_cf_matrix([0, *A]).apply(tail), minus_cf_matrix([0]).apply(tail)
     lo, hi = -left, vertex_value(scheme.A)
-    return TriangleRegion(scheme.m, scheme.A, lo, hi, empty=cmp_exact(lo, hi) >= 0), right - left
+    return TriangleRegion(lo, hi, empty=cmp_exact(lo, hi) >= 0), right - left
 
 
 def substitution_step(

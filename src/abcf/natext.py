@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .mobius import Mobius, S, T, T_INV
 from .params import Params
@@ -191,7 +190,6 @@ class Cloud:
 
     points: np.ndarray  # shape (n, 2)
     dropped_projective: int = 0
-    seed: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -220,7 +218,7 @@ def sample_attractor(params: Params, burn_in: int, n_points: int, seed: int) -> 
     import numpy as np
 
     if n_points == 0:
-        return Cloud(np.empty((0, 2)), 0, seed)
+        return Cloud(np.empty((0, 2)), 0)
     streams = np.random.SeedSequence(seed).spawn(N_CHUNKS)
     sizes = [n_points // N_CHUNKS] * N_CHUNKS
     sizes[-1] += n_points - sum(sizes)
@@ -239,7 +237,7 @@ def sample_attractor(params: Params, burn_in: int, n_points: int, seed: int) -> 
     for _ in range(burn_in):
         xs, ys = F_step_array(xs, ys, params)
     ok = np.isfinite(xs) & np.isfinite(ys)
-    return Cloud(np.column_stack([xs[ok], ys[ok]]), int((~ok).sum()), seed)
+    return Cloud(np.column_stack([xs[ok], ys[ok]]), int((~ok).sum()))
 
 
 # -- the invariant measure du dw / (w - u)^2 ------------------------------

@@ -17,7 +17,6 @@ from .scalars import (
     Infinity,
     MixedFieldError,
     Scalar,
-    Surd,
     as_float,
     cmp_exact,
     format_scalar,
@@ -28,13 +27,6 @@ from .scalars import (
 
 class ParamError(ValueError):
     """Parameter pair outside the admissible set P."""
-
-
-#: Named surd presets accepted by the CLI and the factory.
-PRESETS: dict[str, Scalar] = {
-    "golden": Surd.make(-1, 1, 2, 5),  # (sqrt(5) - 1)/2
-    "-golden": Surd.make(1, -1, 2, 5),
-}
 
 
 @dataclass(frozen=True)
@@ -76,8 +68,6 @@ class Params:
     def make(a, b, eps: float = 1e-12) -> "Params":
         def conv(v):
             if isinstance(v, str):
-                if v in PRESETS:
-                    return PRESETS[v]
                 return parse_scalar(v)
             if isinstance(v, int):
                 return Fraction(v)

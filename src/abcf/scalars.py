@@ -465,13 +465,22 @@ def format_scalar(x: ExtReal) -> str:
     return repr(x)
 
 
+#: Named surd presets that parse_scalar accepts.
+PRESETS: dict[str, Scalar] = {
+    "golden": Surd.make(-1, 1, 2, 5),  # (sqrt(5) - 1)/2
+    "-golden": Surd.make(1, -1, 2, 5),
+}
+
+
 def parse_scalar(text: str) -> Scalar:
-    """Parse "p/q", integers, decimals (-> float) and surd literals.
+    """Parse "p/q", integers, decimals (-> float), surd literals and PRESETS.
 
     The surd literal form mirrors :func:`format_scalar`:
     ``(p+q*sqrt(d))/r``.
     """
     s = text.strip().replace(" ", "")
+    if s in PRESETS:
+        return PRESETS[s]
     if re.fullmatch(r".*/[+-]?0+", s):
         raise ValueError(f"zero denominator: {text!r}")
     if "sqrt" in s:

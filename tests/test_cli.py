@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -673,3 +675,95 @@ def test_negative_sizes_exit_1(args, message, capsys):
     code, out = run_cli(args, capsys)
     assert code == 1
     assert json.loads(out) == {"error": "ValueError", "message": message}
+
+
+def test_x_takes_the_presets(capsys):
+    # the golden mean under (-golden, golden): one digit 1, then 3 repeating
+    code, out = run_cli(["expand", "--a", "-golden", "--b", "golden", "--x", "golden"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["digits"] == {"preperiod": [1], "period": [3]}
+    assert payload["config"]["x"] == "golden"
+
+
+#: every output form of every command: (argv, status, text result); OUT
+#: stands for a file in the test's tmp_path
+_PAIR = ["--a", "-4/5", "--b", "2/5"]
+_CLOUD = ["--n-points", "200", "--burn-in", "20"]
+_OUTPUT_RUNS = [
+    pytest.param(["expand", *_PAIR, "--x", "7/3"], 0, False, id="expand"),
+    pytest.param(["expand", *_PAIR, "--x", "7/3", "--out", "OUT"], 0, False, id="expand-out"),
+    pytest.param(["cycle", *_PAIR, "--which", "b"], 0, False, id="cycle"),
+    pytest.param(["attractor", *_PAIR], 0, False, id="attractor-json"),
+    pytest.param(["attractor", *_PAIR, "--format", "text"], 0, True, id="attractor-text"),
+    pytest.param(["oracle", *_PAIR, *_CLOUD, "--format", "json"], 0, False, id="oracle-json"),
+    pytest.param(["oracle", *_PAIR, *_CLOUD], 0, True, id="oracle-text"),
+    pytest.param(["verify", *_PAIR, "--suite", "all", "--n-points", "1000", "--grid", "6"],
+                 0, False, id="verify-all"),
+    pytest.param(["verify", "--a", "-16/17", "--b", "1/10", "--suite", "bijectivity",
+                  "--cap", "10"], 2, False, id="verify-finiteness"),
+    pytest.param(["exceptional", "--plan", "m=3;1x2,1x2", "--target-width", "1e-3"],
+                 0, False, id="exceptional"),
+    pytest.param(["measures", "--a", "-7/10", "--b", "4/5", "--n-points", "1000"],
+                 0, False, id="measures"),
+    pytest.param(["plot", *_PAIR, "--out", "OUT"], 0, True, id="plot"),
+    pytest.param(["plot", *_PAIR, "--with-cloud", *_CLOUD, "--out", "OUT"],
+                 0, True, id="plot-cloud"),
+]
+
+
+def _with_out(argv, tmp_path):
+    return [str(tmp_path / "out") if tok == "OUT" else tok for tok in argv]
+
+
+@pytest.mark.parametrize("argv, status, text", _OUTPUT_RUNS)
+def test_each_run_prints_once_through_emit(argv, status, text, tmp_path, monkeypatch, capsys):
+    # main hands the handler's result to _emit, the one writer: one call
+    # per run, and stdout (or the --out file) holds exactly what it wrote
+    import abcf.cli
+
+    real, written = abcf.cli._emit, []
+
+    def emit(result, args):
+        inner = io.StringIO()
+        with contextlib.redirect_stdout(inner):
+            real(result, args)
+        written.append(Path(args.out).read_text() if args.out else inner.getvalue())
+        sys.stdout.write(inner.getvalue())
+
+    monkeypatch.setattr(abcf.cli, "_emit", emit)
+    argv = _with_out(argv, tmp_path)
+    code, out = run_cli(argv, capsys)
+    assert code == status and len(written) == 1
+    if "--out" in argv:
+        assert out == "" and (tmp_path / "out").read_text() == written[0]
+    else:
+        assert out == written[0]
+    if not text:
+        assert next(iter(json.loads(written[0]))) == "config"
+
+
+def test_an_error_run_makes_no_emit_call(monkeypatch, capsys):
+    import abcf.cli
+
+    calls = []
+    monkeypatch.setattr(abcf.cli, "_emit", lambda result, args: calls.append(result))
+    code, out = run_cli(["attractor", *_PAIR, "--cap", "1"], capsys)
+    assert code == 2 and calls == []
+    assert json.loads(out)["error"] == "ConstructionError"
+
+
+@pytest.mark.parametrize("argv, status, text", _OUTPUT_RUNS)
+def test_handlers_return_their_result_and_write_nothing(argv, status, text, tmp_path, capsys):
+    from abcf.cli import _join_negative_values, _parser
+
+    args = _parser().parse_args(_join_negative_values(_with_out(argv, tmp_path)))
+    code, result = args.func(args)
+    assert capsys.readouterr().out == "" and not (tmp_path / "out").exists()
+    assert type(code) is int and code == status
+    # text for attractor and oracle as text and for plot's SVG; otherwise
+    # the JSON payload, whose config echo _emit adds
+    if text:
+        assert isinstance(result, str)
+    else:
+        assert isinstance(result, dict) and "config" not in result

@@ -126,3 +126,11 @@ def test_infinity_is_projective():
     assert INF == INF
     assert -INF is INF
     assert as_float(INF) == float("inf")
+
+
+def test_presets_parse_as_their_surds():
+    # "golden" and "-golden" are scalars like any other literal, so every
+    # value flag takes them, --x as well as --a and --b
+    assert parse_scalar("golden") == Surd.make(-1, 1, 2, 5) == parse_scalar("(-1+1*sqrt(5))/2")
+    assert parse_scalar("-golden") == -parse_scalar("golden")
+    assert parse_scalar("golden") is scalars.PRESETS["golden"]
