@@ -112,23 +112,29 @@ class Step:
             "origin": self.origin,
         }
 
+    def mirrored(self) -> "Step":
+        """The image under (x, y) -> (-x, -y), with the same origin."""
+        return Step(-self.x_hi, -self.x_lo, -self.y, self.origin)
 
-@dataclass
+
+@dataclass(frozen=True)
 class RectDomain:
     """Two staircase components; either may be empty in degenerate cases."""
 
     params: Params
-    upper: list[Step]  # ascending y; region above the steps
-    lower: list[Step]  # ascending y; region below the steps
+    upper: tuple[Step, ...]  # ascending y; region above the steps
+    lower: tuple[Step, ...]  # ascending y; region below the steps
     x_a: Optional[ExtReal]
     x_b: Optional[ExtReal]
     degenerate: bool = False
     orbits: Optional[TruncatedOrbits] = None
-    #: the _state() that solve_corners accepted by _disconnections
-    accepted: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    #: set by solve_corners on the domain it accepts by _disconnections; a
+    #: copy starts unconnected, and the frozen steps cannot move under it
+    connected: bool = field(default=False, init=False, repr=False, compare=False)
 
-    def _state(self) -> tuple:
-        return self.params, self.x_a, self.x_b, tuple(self.upper), tuple(self.lower)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "upper", tuple(self.upper))
+        object.__setattr__(self, "lower", tuple(self.lower))
 
     # -- geometry ---------------------------------------------------------
 
@@ -360,7 +366,7 @@ def solve_corners(params: Params, tro: TruncatedOrbits) -> RectDomain:
                 dom = RectDomain(params, upper, lower, x_a, x_b, orbits=tro)
                 reason = next(_disconnections(dom), None)
                 if reason is None:
-                    dom.accepted = dom._state()
+                    object.__setattr__(dom, "connected", True)
                     return dom
                 failures.append(f"({e_l.origin},{e_u.origin}): {reason}")
     raise ConstructionError(
@@ -372,19 +378,18 @@ def solve_corners(params: Params, tro: TruncatedOrbits) -> RectDomain:
 
 
 def _degenerate_domain(params: Params) -> RectDomain:
+    """The explicit domains of (-1, 1), whose upper steps are its lower ones
+    mirrored in reverse order, of a = 0, and of b = 0, a = 0's mirror."""
     one = Fraction(1)
     zero = Fraction(0)
     if params.is_m11:
         # the four explicit boxes; forward invariance and the exact
-        # bijectivity tiling force the lower edge 0 = b - 1 on the first
-        upper = [
-            Step(NEG_INF, -one, zero, "deg"),
-            Step(-one, zero, one, "deg"),
-        ]
+        # bijectivity tiling force the edge 0 = a + 1 and its mirror 0 = b - 1
         lower = [
             Step(zero, one, -one, "deg"),
             Step(one, POS_INF, zero, "deg"),
         ]
+        upper = [s.mirrored() for s in reversed(lower)]
         return RectDomain(params, upper, lower, one, -one, degenerate=True)
     if params.is_a0:
         lower = [
@@ -394,12 +399,9 @@ def _degenerate_domain(params: Params) -> RectDomain:
         ]
         return RectDomain(params, [], lower, one, None, degenerate=True)
     if params.is_b0:
-        upper = [
-            Step(NEG_INF, -one, -one, "deg"),
-            Step(-one, zero, zero, "deg"),
-            Step(zero, one, one, "deg"),
-        ]
-        return RectDomain(params, upper, [], None, -one, degenerate=True)
+        a0 = _degenerate_domain(params.mirrored())
+        upper = [s.mirrored() for s in reversed(a0.lower)]
+        return RectDomain(params, upper, [], None, -a0.x_a, degenerate=True)
     raise ValueError("not a degenerate parameter pair")
 
 
@@ -416,9 +418,9 @@ def build_attractor(params: Params, cap: int = 100_000) -> RectDomain:
 
 def verify_connectivity(dom: RectDomain) -> dict:
     """{"ok", "failures"}: the reasons, if any, why the staircases do not
-    bound one connected domain (see _disconnections).  A domain that still
-    holds what solve_corners accepted passed that predicate already."""
-    failures = [] if dom.accepted == dom._state() else list(_disconnections(dom))
+    bound one connected domain (see _disconnections).  A domain that
+    solve_corners accepted passed that predicate already."""
+    failures = [] if dom.connected else list(_disconnections(dom))
     return {"ok": not failures, "failures": failures}
 
 

@@ -65,7 +65,7 @@ def digit_ab(x: ExtReal, params: Params) -> int:
     if isinstance(x, Infinity):
         raise TerminatedExpansion("digit of the point at infinity")
     if not (params.exact and is_exact(x)):
-        return digit_float(as_float(x), as_float(params.a), as_float(params.b), params.eps)
+        return digit_float(as_float(x), params.a_float, params.b_float, params.eps)
     branch = rho(x, params)
     if branch is S:
         return 0
@@ -114,8 +114,6 @@ def expand(x: ExtReal, params: Params, max_digits: int = 200) -> CFExpansion:
     if max_digits < 1:
         raise ValueError("max_digits >= 1")
     digits: list[int] = []
-    if isinstance(x, Infinity):
-        return CFExpansion(digits, terminated=True)
     seen: dict = {}
     approx = not params.exact or isinstance(x, float)
     cur = x

@@ -208,7 +208,7 @@ def sample_nu(g: GaussDomain, n: int, seed: int) -> np.ndarray:
 def _digit_array(us: np.ndarray, params: Params) -> np.ndarray:
     """cf.digit_float of each u, elementwise, by the same rule: the cuts
     d >= -eps, and ceil(d), less 1 where it lies more than eps above d."""
-    a, b, eps = as_float(params.a), as_float(params.b), params.eps
+    a, b, eps = params.a_float, params.b_float, params.eps
     with np.errstate(over="ignore", invalid="ignore"):
         below, above = us - a < -eps, us - b >= -eps
         d = np.where(below, us - a, us - b)
@@ -325,7 +325,7 @@ def birkhoff_average(
     floats would take 4 times the memory (a pointer and a 24-byte float
     per step)."""
     rng = np.random.default_rng(seed)
-    a, b, eps = as_float(params.a), as_float(params.b), params.eps
+    a, b, eps = params.a_float, params.b_float, params.eps
     ceil, isfinite, neg_eps = math.ceil, math.isfinite, -eps
     x = rng.uniform(a, b)
     xs = np.empty(n_steps)

@@ -3,7 +3,9 @@ oracle for the attractor.
 
 The map applies one generator to both coordinates, chosen by the second
 coordinate: T below a, S on [a, b), T^-1 from b up (and at infinity).
-Every off-diagonal point enters the trapping region in finite time; long
+Every off-diagonal point enters the trapping region in finite time.  Its
+boxes below the diagonal are the mirror under (x, y) -> (-x, -y) of the
+boxes above it of the mirrored pair (-b, -a) (Box.mirrored).  Long
 Monte Carlo runs of the map approximate the attractor and serve as an
 independent cross-check for the constructed domain.  That float layer
 (F_step_array, sample_attractor) imports numpy on first use, so the
@@ -83,6 +85,10 @@ class Box:
     def floats(self) -> tuple[float, float, float, float]:
         return as_float(self.x_lo), as_float(self.x_hi), as_float(self.y_lo), as_float(self.y_hi)
 
+    def mirrored(self) -> "Box":
+        """The image under (x, y) -> (-x, -y)."""
+        return Box(-self.x_hi, -self.x_lo, -self.y_hi, -self.y_lo)
+
 
 @dataclass(frozen=True)
 class Region:
@@ -106,58 +112,38 @@ class Region:
 
 def trapping_region(params: Params) -> Region:
     """The forward-invariant region every off-diagonal point enters: the
-    boxes above the diagonal, then those below it.
+    boxes above the diagonal, then those below it, the mirror under (x, y)
+    -> (-x, -y) of the mirrored pair's boxes above, in reverse order."""
+    below = _boxes_above(params.mirrored())[::-1]
+    return Region((*_boxes_above(params), *(bx.mirrored() for bx in below)))
 
-    Case analysis on the parameters; the three degenerate pairs get their
-    explicit regions (which there coincide with the attractor).
-    """
+
+def _boxes_above(params: Params) -> list[Box]:
+    """The trapping region's boxes above the diagonal, ascending in x, by a
+    case analysis on the parameters: none for a = 0, and the explicit boxes
+    of b = 0 (which there coincide with the attractor)."""
     a, b = params.a, params.b
-    one = Fraction(1)
+    one, zero = Fraction(1), Fraction(0)
     if params.is_a0:
-        return Region(
-            (
-                Box(-one, Fraction(0), NEG_INF, -one),
-                Box(Fraction(0), one, NEG_INF, Fraction(0)),
-                Box(one, POS_INF, NEG_INF, one),
-            )
-        )
+        return []
     if params.is_b0:
-        return Region(
-            (
-                Box(NEG_INF, -one, -one, POS_INF),
-                Box(-one, Fraction(0), Fraction(0), POS_INF),
-                Box(Fraction(0), one, one, POS_INF),
-            )
-        )
-
+        return [
+            Box(NEG_INF, -one, -one, POS_INF),
+            Box(-one, zero, zero, POS_INF),
+            Box(zero, one, one, POS_INF),
+        ]
     if params.cmp(b, 1) >= 0:
-        upper = [
+        return [
             Box(NEG_INF, -one, b - 1, POS_INF),
-            Box(-one, Fraction(0), -1 / a, POS_INF),
+            Box(-one, zero, -1 / a, POS_INF),
         ]
-    else:
-        c1, c2 = -b / (b - 1), -1 / a
-        corner = c1 if params.cmp(c1, c2) <= 0 else c2
-        upper = [
-            Box(NEG_INF, -one, b - 1, POS_INF),
-            Box(-one, Fraction(0), corner, POS_INF),
-            Box(Fraction(0), one, -1 / (b - 1), POS_INF),
-        ]
-
-    if params.cmp(a, -1) <= 0:
-        lower = [
-            Box(Fraction(0), one, NEG_INF, -1 / b),
-            Box(one, POS_INF, NEG_INF, a + 1),
-        ]
-    else:
-        c1, c2 = a / (a + 1), -1 / b
-        corner = c1 if params.cmp(c1, c2) >= 0 else c2
-        lower = [
-            Box(-one, Fraction(0), NEG_INF, -1 / (a + 1)),
-            Box(Fraction(0), one, NEG_INF, corner),
-            Box(one, POS_INF, NEG_INF, a + 1),
-        ]
-    return Region(tuple(upper + lower))
+    c1, c2 = -b / (b - 1), -1 / a
+    corner = c1 if params.cmp(c1, c2) <= 0 else c2
+    return [
+        Box(NEG_INF, -one, b - 1, POS_INF),
+        Box(-one, zero, corner, POS_INF),
+        Box(zero, one, -1 / (b - 1), POS_INF),
+    ]
 
 
 # -- vectorized float dynamics ------------------------------------------
@@ -172,7 +158,7 @@ def F_step_array(xs: np.ndarray, ys: np.ndarray, params: Params) -> tuple[np.nda
     branch (int8 views of the masks), and the S points their images."""
     import numpy as np
 
-    a, b = as_float(params.a), as_float(params.b)
+    a, b = params.a_float, params.b_float
     k = (ys < a).view(np.int8) - (~(ys < b)).view(np.int8)
     mid = np.flatnonzero(k == 0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

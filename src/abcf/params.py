@@ -34,7 +34,7 @@ class Params:
     a: Scalar
     b: Scalar
     eps: float = 1e-12
-    #: as_float of a and b, made once per pair (natext.rho reads them)
+    #: as_float of a and b, made once per pair for the float branch rules
     a_float: float = field(init=False, repr=False, compare=False)
     b_float: float = field(init=False, repr=False, compare=False)
 

@@ -10,7 +10,7 @@ Three scalar backings coexist and never mix silently:
 The projective line is compactified by a single unsigned point ``INF``.
 Separate order sentinels ``NEG_INF``/``POS_INF`` exist for geometry
 (box and step-function coordinates), where the two ends of the line are
-distinguishable.
+distinguishable; negation swaps them.
 """
 
 from __future__ import annotations
@@ -67,6 +67,9 @@ class _Sentinel:
 
     def __float__(self) -> float:
         return self._float
+
+    def __neg__(self) -> "_Sentinel":
+        return POS_INF if self is NEG_INF else NEG_INF
 
 
 #: Order sentinels for step/box coordinates: NEG_INF < every real < POS_INF.

@@ -63,7 +63,7 @@ def test_classical_m11_exact_boxes():
 
 def test_classical_minus_chart():
     dom = build_attractor(Params.make("-1", "0"))
-    assert dom.lower == []
+    assert dom.lower == ()
     assert [(as_float(s.y)) for s in dom.upper] == [-1.0, 0.0, 1.0]
 
 
@@ -182,12 +182,32 @@ def test_connectivity_report_and_negative_control():
     bad = RectDomain(dom.params, dom.upper, bad_lower, dom.x_a, dom.x_b, orbits=dom.orbits)
     rep = verify_connectivity(bad)
     assert not rep["ok"] and rep["failures"]
-    # the construction's verdict holds only while the domain is unchanged:
-    # a copy with the corrupted steps, or the built domain corrupted in
-    # place, is checked afresh
-    assert verify_connectivity(dataclasses.replace(dom, lower=bad_lower)) == rep
-    dom.lower[2] = bad_lower[2]
-    assert verify_connectivity(dom) == rep
+    # the construction's verdict holds only for the domain it accepted: a
+    # copy with the corrupted steps is checked afresh, and the built domain
+    # cannot be corrupted in place
+    copy = dataclasses.replace(dom, lower=bad_lower)
+    assert dom.connected and not copy.connected
+    assert verify_connectivity(copy) == rep
+    with pytest.raises(TypeError):
+        dom.lower[2] = bad_lower[2]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dom.lower = bad_lower
+    assert verify_connectivity(dom) == {"ok": True, "failures": []}
+
+
+def test_a_built_domain_cannot_change_under_its_caches():
+    # moving Lb[0] right by 1/10 leaves (0.05, -2.51) outside the domain.
+    # The built domain keeps its steps, and so its cached float arrays and
+    # its verdict; the moved copy is measured and checked from its own
+    dom = build_attractor(Z)
+    x, y = np.array([0.05]), np.array([-2.51])
+    assert dom.contains_array(x, y)[0]
+    moved = _changed(dom, "lower", 1, x_lo=dom.lower[1].x_lo + Fraction(1, 10))
+    assert isinstance(moved.lower, tuple) and not moved.contains_array(x, y)[0]
+    assert not verify_connectivity(moved)["ok"]
+    with pytest.raises(TypeError):
+        dom.lower[1] = moved.lower[1]
+    assert dom.contains_array(x, y)[0] and verify_connectivity(dom)["ok"]
 
 
 def _changed(dom, component, i, **change):
@@ -287,9 +307,10 @@ def test_bijectivity_locking_segments():
 def test_bijectivity_reports_a_corrupted_domain(
     i, shift, cells, overlap_measure, uncovered_measure
 ):
-    dom = build_attractor(Z)
-    s = dom.lower[i]
-    dom.lower[i] = dataclasses.replace(s, x_lo=s.x_lo + shift)
+    built = build_attractor(Z)
+    dom = _changed(built, "lower", i, x_lo=built.lower[i].x_lo + shift)
+    with pytest.raises(TypeError):
+        built.lower[i] = dom.lower[i]
     rep = verify_bijectivity(dom)
     assert not rep.ok
     assert (rep.overlap_cells, rep.uncovered_cells, rep.escaped_cells) == cells
@@ -344,9 +365,8 @@ def _grid_report(dom):
     )
 
 
-def test_sweep_agrees_with_the_grid(monkeypatch):
-    # every pair of P with denominators <= 4, and its corruptions: the
-    # report equals the cell grid's, the failing ones cell for cell
+def _exact_p4_pairs():
+    """The 146 pairs of P with denominators <= 4, those of the exact_p4 golden."""
     vals = sorted({Fraction(n, d) for d in range(1, 5) for n in range(4 * d + 1)})
     pairs = []
     for a in vals:
@@ -355,6 +375,13 @@ def test_sweep_agrees_with_the_grid(monkeypatch):
                 pairs.append(Params(-a, b))
             except ParamError:
                 continue
+    return pairs
+
+
+def test_sweep_agrees_with_the_grid(monkeypatch):
+    # every pair of P with denominators <= 4, and its corruptions: the
+    # report equals the cell grid's, the failing ones cell for cell
+    pairs = _exact_p4_pairs()
     assert len(pairs) == 146
     doms = [d for p in pairs for dom in [build_attractor(p)] for d in (dom, *_corrupted(dom))]
     failing = 0
@@ -496,15 +523,54 @@ def test_long_cycle_staircase_digests(case):
     assert hashlib.sha256(text.encode()).hexdigest() == STAIRCASE_DIGESTS[case]
 
 
+#: the chains the mirror exchanges: La <-> Ub and Lb <-> Ua ("deg" stays)
+MIRROR_ORIGINS = str.maketrans("LUab", "ULba")
+
+
+def _mirror_steps(steps):
+    """The staircase under (x, y) -> (-x, -y), ascending in y, each step
+    named after its level in the mirrored pair."""
+    return tuple(dataclasses.replace(s.mirrored(), origin=s.origin.translate(MIRROR_ORIGINS))
+                 for s in reversed(steps))
+
+
+def test_the_construction_commutes_with_the_mirror():
+    # (a, b) -> (-b, -a) mirrors the domain under (x, y) -> (-x, -y): the
+    # mirrored pair's upper staircase is the pair's lower one mirrored, in
+    # reverse order, level for level, and vice versa; x_a' = -x_b and
+    # x_b' = -x_a.  Both tile with the same cells, the locking segments
+    # mirrored, and the trapping regions are mirrors too
+    b = _near_exceptional_b()
+    boundary = [Params(Fraction(1, k) - 1, Fraction(1, k)) for k in (17, 31, 53)]
+    cases = [*_exact_p4_pairs(), *boundary, Params(b - 1, b)]
+    assert len(cases) == 150
+    for p in cases:
+        q = p.mirrored()
+        dom, mir = build_attractor(p), build_attractor(q)
+        assert mir.upper == _mirror_steps(dom.lower), (p.a, p.b)
+        assert mir.lower == _mirror_steps(dom.upper), (p.a, p.b)
+        assert (mir.x_a, mir.x_b) == tuple(None if x is None else -x for x in (dom.x_b, dom.x_a))
+        assert mir.degenerate == dom.degenerate
+        rep, mirror_rep = (dataclasses.asdict(verify_bijectivity(d)) for d in (dom, mir))
+        segments = rep.pop("locking_segments")
+        assert mirror_rep.pop("locking_segments") == [
+            {"level": -s["level"], "x_lo": -s["x_hi"], "x_hi": -s["x_lo"]} for s in segments[::-1]
+        ]
+        assert rep == mirror_rep and rep["ok"], (p.a, p.b)
+        boxes = trapping_region(p).boxes
+        assert set(trapping_region(q).boxes) == {bx.mirrored() for bx in boxes}
+
+
 def test_bijectivity_reports_a_near_exceptional_gap(monkeypatch):
     # the generation-3 pair with lower[2] moved right: 12 thin cells are
     # left uncovered, of measure 1.6678428449669783e-13 by mpmath at 200
     # digits; the four logs of the closed form, added, gave 1.66755e-13.
     # The cells form one run, measured as one box
     b = _near_exceptional_b()
-    dom = build_attractor(Params(b - 1, b))
-    s = dom.lower[2]
-    dom.lower[2] = dataclasses.replace(s, x_lo=s.x_lo + Fraction(1, 100))
+    built = build_attractor(Params(b - 1, b))
+    dom = _changed(built, "lower", 2, x_lo=built.lower[2].x_lo + Fraction(1, 100))
+    with pytest.raises(TypeError):
+        built.lower[2] = dom.lower[2]
     measured = []
 
     def counted(box):
@@ -523,8 +589,10 @@ def test_bijectivity_reports_a_near_exceptional_gap(monkeypatch):
 def test_overlapping_domain_rows_raise():
     # the upper row at -3/5 <= y <= -1/3 reaches x = 4, past the lower
     # row's start x = 3 above y = -1/2
-    dom = build_attractor(Z)
-    dom.upper[0] = dataclasses.replace(dom.upper[0], x_hi=Fraction(4))
+    built = build_attractor(Z)
+    dom = _changed(built, "upper", 0, x_hi=Fraction(4))
+    with pytest.raises(TypeError):
+        built.upper[0] = dom.upper[0]
     with pytest.raises(ConstructionError, match="domain boxes overlap"):
         verify_bijectivity(dom)
 

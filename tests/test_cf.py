@@ -363,6 +363,14 @@ def test_digit_of_infinity_signals_termination():
     assert expand(INF, H).terminated and expand(INF, H).digits == []
 
 
+@pytest.mark.parametrize("params, approximate", [(H, False), (Params(-0.5, 0.5), True)])
+def test_expand_of_infinity_terminates_in_the_loop(params, approximate):
+    # INF ends the expansion at once, with no digit; under a float pair it
+    # is approximate, as every other float-pair expansion is
+    exp = expand(INF, params)
+    assert (exp.digits, exp.terminated, exp.periodic, exp.approximate) == ([], True, False, approximate)
+
+
 def test_state_key_of_rationals():
     # equal rationals built in different ways share one key; keys of
     # surds, INF and floats are unchanged and meet no rational key
